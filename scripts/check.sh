@@ -1,51 +1,43 @@
 #!/usr/bin/env bash
 # Full local validation: Release build + tests, then (optionally) Debug and
-# AddressSanitizer passes, then the benchmark sweep.
+# sanitizer passes, then the benchmark sweep.
 #
-#   scripts/check.sh            # release build + ctest
-#   scripts/check.sh --full     # + debug & asan test passes
-#   scripts/check.sh --tsan     # + thread sanitizer pass over the
-#                               #   concurrency-sensitive suites (labels
-#                               #   obs + concurrency)
-#   scripts/check.sh --server   # + thread sanitizer pass over just the
-#                               #   batch/server suite (label server: the
-#                               #   SQ/CQ rings and the shard drain loop)
-#   scripts/check.sh --obs      # + address sanitizer pass over the obs +
-#                               #   server suites (span rings, flight
-#                               #   recorder, trace plumbing) on top of the
-#                               #   TSan coverage --tsan/--server give them
-#   scripts/check.sh --shortcut # + thread sanitizer pass over just the
-#                               #   miss-shortcut suite (label shortcut:
-#                               #   ancestor probes racing renames)
-#   scripts/check.sh --resize   # + thread sanitizer pass over just the
-#                               #   elastic-resize + governor suite (label
-#                               #   resize: readers and mutators racing
-#                               #   online table migration)
-#   scripts/check.sh --bench    # + run every benchmark binary
-#   scripts/check.sh --bench fig7
-#                               # + run only benchmarks whose name starts
-#                               #   with the given prefix (e.g. the fig7
-#                               #   write-cost bench, whose exit code gates
-#                               #   on its verdict block)
+#   scripts/check.sh              # release build + ctest
+#   scripts/check.sh --full       # + debug & asan passes over every suite
+#   scripts/check.sh --tsan[=RE]  # + thread sanitizer pass over the ctest
+#                                 #   labels matching RE (default
+#                                 #   'obs|concurrency': the lock-free
+#                                 #   walkers, obs recorders and rings);
+#                                 #   e.g. --tsan=server (SQ/CQ rings, shard
+#                                 #   drain loop), --tsan=shortcut (ancestor
+#                                 #   probes racing renames), --tsan=resize
+#                                 #   (readers racing online DLHT migration)
+#   scripts/check.sh --asan[=RE]  # + address sanitizer pass over the ctest
+#                                 #   labels matching RE (default
+#                                 #   'obs|server': span rings, flight
+#                                 #   recorder, trace plumbing)
+#   scripts/check.sh --bench      # + run every benchmark binary
+#   scripts/check.sh --bench fig7 # + run only benchmarks whose name starts
+#                                 #   with the given prefix (e.g. the fig7
+#                                 #   write-cost bench, whose exit code gates
+#                                 #   on its verdict block)
+#
+# --tsan and --asan may be repeated; each occurrence is one more pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FULL=0
 BENCH=0
 BENCH_FILTER=""
-TSAN=0
-SERVER=0
-OBS=0
-SHORTCUT=0
-RESIZE=0
+TSAN_LABELS=()
+ASAN_LABELS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --full) FULL=1 ;;
-    --tsan) TSAN=1 ;;
-    --server) SERVER=1 ;;
-    --obs) OBS=1 ;;
-    --shortcut) SHORTCUT=1 ;;
-    --resize) RESIZE=1 ;;
+    --tsan) TSAN_LABELS+=('obs|concurrency') ;;
+    --tsan=*) TSAN_LABELS+=("${1#--tsan=}") ;;
+    --asan) ASAN_LABELS+=('obs|server') ;;
+    --asan=*) ASAN_LABELS+=("${1#--asan=}") ;;
     --bench)
       BENCH=1
       if [[ $# -gt 1 && "${2:0:2}" != "--" ]]; then
@@ -58,6 +50,32 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
+# sanitizer_pass <thread|address> [label-regex]: configure and build
+# build-tsan or build-asan (reused across passes), then run the suites whose
+# ctest labels match the regex, or every suite when it is empty.
+sanitizer_pass() {
+  local sanitizer="$1" labels="${2:-}"
+  local dir=build-asan
+  local env=()
+  if [[ "$sanitizer" == thread ]]; then
+    dir=build-tsan
+    # The suppressions file whitelists ONLY the documented validate-after-
+    # read idioms (seqlock-guarded rename splice / signature publish, epoch
+    # reclamation); everything else runs under full TSan scrutiny.
+    env=(TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7")
+  fi
+  echo "== ${sanitizer} sanitizer (${labels:-all suites}) =="
+  cmake -B "$dir" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=${sanitizer} -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=${sanitizer}" >/dev/null
+  cmake --build "$dir"
+  local filter=()
+  if [[ -n "$labels" ]]; then
+    filter=(-L "$labels")
+  fi
+  env "${env[@]}" ctest --test-dir "$dir" --output-on-failure "${filter[@]}"
+}
+
 echo "== release build =="
 cmake -B build -G Ninja >/dev/null
 cmake --build build
@@ -69,82 +87,15 @@ if [[ "$FULL" == 1 ]]; then
   cmake --build build-debug
   ctest --test-dir build-debug --output-on-failure
 
-  echo "== address sanitizer =="
-  cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >/dev/null
-  cmake --build build-asan
-  ctest --test-dir build-asan --output-on-failure
+  sanitizer_pass address
 fi
 
-if [[ "$TSAN" == 1 ]]; then
-  echo "== thread sanitizer (obs + concurrency suites) =="
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  # Only the suites with real cross-thread traffic: the lock-free walkers,
-  # the obs recorders/sampler, and the ring-buffer stress tests. The
-  # suppressions file whitelists ONLY the documented validate-after-read
-  # idioms (seqlock-guarded rename splice / signature publish, epoch
-  # reclamation) — everything else, including the invalidation engine and
-  # the telemetry rings, runs under full TSan scrutiny.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L 'obs|concurrency'
-fi
-
-if [[ "$SERVER" == 1 ]]; then
-  echo "== thread sanitizer (batch/server suite) =="
-  # The new cross-thread surface from the batch API redesign: the Vyukov
-  # SQ/CQ rings, multi-producer Submit against the shard drain loop, and
-  # Stop()'s drain-everything guarantee. Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L server
-fi
-
-if [[ "$SHORTCUT" == 1 ]]; then
-  echo "== thread sanitizer (miss-shortcut suite) =="
-  # The ancestor-probe fallback's cross-thread surface: prefix-signature
-  # probes and resumed walks racing renames, evictions, and epoch
-  # reclamation (label shortcut). Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L shortcut
-fi
-
-if [[ "$RESIZE" == 1 ]]; then
-  echo "== thread sanitizer (elastic-resize + governor suite) =="
-  # The elastic DLHT's cross-thread surface: the two-candidate reader probe
-  # and validated-lock writers racing BeginResize/MigrateStep, epoch
-  # retirement of old tables under concurrent readers, and the governor's
-  # eviction/steering passes (label resize). Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L resize
-fi
-
-if [[ "$OBS" == 1 ]]; then
-  echo "== address sanitizer (obs + server suites) =="
-  # The request-tracing surfaces (span rings, the flight recorder's by-value
-  # RequestTrace copies, Chrome-trace rendering) are memory-layout heavy;
-  # ASan catches the overflow/use-after-free class TSan doesn't. Reuses the
-  # --full ASan build tree.
-  cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >/dev/null
-  cmake --build build-asan
-  ctest --test-dir build-asan --output-on-failure -L 'obs|server'
-fi
+for labels in "${TSAN_LABELS[@]}"; do
+  sanitizer_pass thread "$labels"
+done
+for labels in "${ASAN_LABELS[@]}"; do
+  sanitizer_pass address "$labels"
+done
 
 if [[ "$BENCH" == 1 ]]; then
   echo "== benchmarks${BENCH_FILTER:+ (filter: $BENCH_FILTER*)} =="

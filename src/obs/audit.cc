@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/core/dlht.h"
@@ -49,8 +50,11 @@ const char* DentName(const Dentry* d) {
 
 struct Auditor {
   AuditReport report;
-  // Every dentry reached by the children-list traversal from mount roots.
-  std::unordered_set<const Dentry*> reachable;
+  // Every dentry reached by the children-list traversal from mount roots,
+  // mapped to the dentry whose children list holds it (null for a mount
+  // root not met on any list), so the hash-chain pass checks membership
+  // without rescanning the parent's list.
+  std::unordered_map<const Dentry*, const Dentry*> reachable;
 
   void Violate(AuditCheck check, std::string detail) {
     report.violations.push_back({check, std::move(detail)});
@@ -62,10 +66,10 @@ struct Auditor {
   // one DFS path is not.
   void WalkTree(Dentry* root) {
     std::unordered_set<const Dentry*> on_path;
-    WalkTreeFrom(root, 0, &on_path);
+    WalkTreeFrom(root, nullptr, 0, &on_path);
   }
 
-  void WalkTreeFrom(Dentry* d, size_t depth,
+  void WalkTreeFrom(Dentry* d, const Dentry* lister, size_t depth,
                     std::unordered_set<const Dentry*>* on_path) {
     if (depth > kMaxParentDepth) {
       Violate(AuditCheck::kTreeStructure,
@@ -79,13 +83,33 @@ struct Auditor {
                      static_cast<void*>(d), DentName(d)));
       return;
     }
-    if (reachable.insert(d).second) {
+    auto [it, fresh] = reachable.try_emplace(d, lister);
+    if (fresh) {
       ++report.dentries_visited;
+    } else if (lister != nullptr) {
+      it->second = lister;
     }
     std::vector<Dentry*> children;
     {
       SpinGuard guard(d->lock);
+      // Every positive or stub child precedes every negative or alias child
+      // (DentryCache::AddChild/MoveDentry); cached readdir stops at the
+      // first of those.
+      const Dentry* first_tail = nullptr;
       for (Dentry* child : d->children) {
+        if (child->TestFlags(kDentNegative | kDentAlias)) {
+          if (first_tail == nullptr) {
+            first_tail = child;
+          }
+        } else if (first_tail != nullptr) {
+          Violate(AuditCheck::kTreeStructure,
+                  Format("positive dentry %p '%s' follows negative/alias "
+                         "%p '%s' on children list of %p '%s'",
+                         static_cast<void*>(child), DentName(child),
+                         static_cast<const void*>(first_tail),
+                         DentName(first_tail), static_cast<void*>(d),
+                         DentName(d)));
+        }
         if (child->parent() != d) {
           Violate(AuditCheck::kTreeStructure,
                   Format("dentry %p '%s' on children list of %p '%s' but its "
@@ -108,7 +132,7 @@ struct Auditor {
     // scan exact; taking child locks under d->lock would invert the
     // Kill/AddChild order).
     for (Dentry* child : children) {
-      WalkTreeFrom(child, depth + 1, on_path);
+      WalkTreeFrom(child, d, depth + 1, on_path);
     }
     on_path->erase(d);
   }
@@ -253,8 +277,14 @@ AuditReport RunAudit(Kernel& kernel, const std::vector<const Pcc*>& pccs) {
                          "KeyFor(parent, name) — stale after a move?",
                          static_cast<void*>(d), DentName(d)));
       }
+      // A dentry sits on one children list at most, so the one the tree
+      // walk found it on settles membership; only dentries the walk never
+      // reached need the scan.
       bool on_children = false;
-      {
+      auto listed = a.reachable.find(d);
+      if (listed != a.reachable.end() && listed->second != nullptr) {
+        on_children = listed->second == parent;
+      } else {
         SpinGuard pguard(parent->lock);
         for (Dentry* child : parent->children) {
           if (child == d) {
@@ -305,7 +335,8 @@ AuditReport RunAudit(Kernel& kernel, const std::vector<const Pcc*>& pccs) {
 
   // 4. Residency: at quiescence a live, unreferenced, reachable dentry must
   // be parked on the LRU, or nothing can ever evict it.
-  for (const Dentry* d : a.reachable) {
+  for (const auto& entry : a.reachable) {
+    const Dentry* d = entry.first;
     if (!d->IsDead() && d->ref_count() == 0 && !d->TestFlags(kDentOnLru)) {
       a.Violate(AuditCheck::kLruResidency,
                 Format("live unreferenced dentry %p '%s' is not parked on "

@@ -41,8 +41,9 @@ enum class AuditCheck : uint8_t {
   // its parent's children list.
   kHashChain,
   // Parent/child sibling-list consistency: children lists are acyclic,
-  // contain no dead dentries, and every child's parent back-pointer names
-  // the list owner.
+  // contain no dead dentries, keep every positive or stub child before
+  // every negative or alias child, and every child's parent back-pointer
+  // names the list owner.
   kTreeStructure,
   // At quiescence, a live unreferenced reachable dentry must be parked on
   // the LRU (otherwise it can never be evicted — a leak).

@@ -139,7 +139,13 @@ Result<Dentry*> DentryCache::AddChild(Dentry* parent, std::string_view name,
     fresh->fast.seq.store(NewVersion(), std::memory_order_release);
     bucket.chain.PushFront(&fresh->hash_node);
   }
-  parent->children.PushBack(fresh);
+  // Child-list order (§5.1): positives and stubs at the front, negatives
+  // and aliases at the back, so a cached readdir stops at the first one.
+  if ((flags & (kDentNegative | kDentAlias)) != 0) {
+    parent->children.PushBack(fresh);
+  } else {
+    parent->children.PushFront(fresh);
+  }
   parent_guard.Release();
   count_.fetch_add(1, std::memory_order_relaxed);
   ChargeTenant(tenant, (flags & kDentNegative) != 0, +1);
@@ -155,6 +161,10 @@ Dentry* DentryCache::MakeRoot(SuperBlock* sb, Inode* inode) {
 }
 
 void DentryCache::Dput(Dentry* d) {
+  // Once the count reaches zero, a concurrent Shrink may evict `d` and the
+  // epoch free it; the pin, taken before the decrement, keeps it readable
+  // for the checks below (Linux's dput holds rcu_read_lock the same way).
+  EpochDomain::ReadGuard eguard(EpochDomain::Global());
   if (d->DputNeedsRelease()) {
     Release(d);
     return;
@@ -291,7 +301,7 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
     SpinGuard guard(bucket.lock);
     bucket.chain.PushFront(&d->hash_node);
   }
-  new_parent->children.PushBack(d);
+  new_parent->children.PushFront(d);  // rename moves positives only
 
   d->lock.unlock();
   if (second != first) {

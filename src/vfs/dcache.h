@@ -60,6 +60,8 @@ class DentryCache {
   // reference, which the alias dentry adopts.
   // `tenant` is the credential uid the new dentry is charged to (DESIGN.md
   // §15 per-tenant accounting); pass the acting task's uid.
+  // Negatives and aliases join the back of the parent's children list and
+  // everything else the front (the ordering invariant, DESIGN.md §16).
   Result<Dentry*> AddChild(Dentry* parent, std::string_view name,
                            Inode* inode, uint32_t flags, uint32_t tenant,
                            InodeNum stub_ino = 0,

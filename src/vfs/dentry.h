@@ -158,7 +158,10 @@ class Dentry {
   uint64_t hash_key = 0;
 
   ListNode child_node;  // position in parent->children (parent's lock)
-  IntrusiveList<Dentry, &Dentry::child_node> children;  // this->lock
+  // this->lock. Every positive or stub child precedes every negative or
+  // alias child, so a cached readdir stops at the first of those (§5.1,
+  // DESIGN.md §16).
+  IntrusiveList<Dentry, &Dentry::child_node> children;
   // Bumped when a child is evicted for space; snapshot-compared to decide
   // whether a readdir scan may set kDentDirComplete (§5.1).
   std::atomic<uint64_t> child_evict_gen{0};

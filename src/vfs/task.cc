@@ -335,15 +335,11 @@ void Task::ExecuteSqe(const server::SubmissionQueueEntry& s,
     }
     case OpCode::kReaddir: {
       Scope sc(this, SyscallKind::kReaddir);
-      auto r = DoReadDir(s.fd, s.max_entries);
-      if (!r.ok()) {
-        c->res = -static_cast<int32_t>(r.error());
-      } else {
-        c->res = static_cast<int32_t>(r->size());
-        if (s.dirents != nullptr) {
-          *s.dirents = *std::move(r);
-        }
-      }
+      std::vector<DirEntry> discard;
+      auto r = DoReadDir(s.fd, s.max_entries,
+                         s.dirents != nullptr ? s.dirents : &discard);
+      c->res = r.ok() ? static_cast<int32_t>(*r)
+                      : -static_cast<int32_t>(r.error());
       return;
     }
     case OpCode::kMkdir: {
@@ -1514,7 +1510,52 @@ Result<uint64_t> Task::Lseek(FdNum fd, uint64_t offset) {
 // ---------------------------------------------------------------------------
 // readdir (§5.1)
 
-Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
+namespace {
+
+// dir_offset of a cached-mode stream whose first call returned the whole
+// listing without keeping a snapshot: every later call is at EOF.
+constexpr uint64_t kCachedListingReturned = ~uint64_t{0};
+
+// Entry `i` of a readdir result, reusing the caller's element (and its
+// string buffer) when the vector already has one there.
+void PutDirEntry(std::vector<DirEntry>* out, size_t i, std::string_view name,
+                 InodeNum ino, FileType type) {
+  if (i < out->size()) {
+    DirEntry& e = (*out)[i];
+    e.name.assign(name);
+    e.ino = ino;
+    e.type = type;
+  } else {
+    out->push_back(DirEntry{std::string(name), ino, type});
+  }
+}
+
+// Calls fn(name, ino, type) for each positive or stub child of a
+// DIR_COMPLETE directory. Every positive and stub child precedes every
+// negative and alias child (DentryCache::AddChild/MoveDentry), so the scan
+// stops at the first of those. Kill and eviction mark a child dead and
+// unlink it within one hold of dir->lock, so no dead child is met here.
+template <typename Fn>
+void ForEachListedChild(Dentry* dir, Fn&& fn) {
+  EpochDomain::ReadGuard eguard(EpochDomain::Global());
+  SpinGuard guard(dir->lock);
+  for (Dentry* child : dir->children) {
+    const uint32_t flags = child->flags();
+    if ((flags & (kDentNegative | kDentAlias)) != 0) {
+      break;
+    }
+    if ((flags & kDentStub) != 0) {
+      fn(child->name(), child->stub_ino, child->stub_type);
+    } else if (Inode* ci = child->inode()) {
+      fn(child->name(), ci->ino(), ci->type());
+    }
+  }
+}
+
+}  // namespace
+
+Result<size_t> Task::DoReadDir(FdNum fd, size_t max_entries,
+                               std::vector<DirEntry>* out) {
   auto filer = GetFile(fd);
   if (!filer.ok()) {
     return filer.error();
@@ -1539,7 +1580,6 @@ Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
     }
   }
 
-  std::vector<DirEntry> out;
   if (file->scan_uses_cache) {
     kernel_->stats().readdir_cached.Add();
     // A cache-served scan is a use of the directory: arm its second-chance
@@ -1547,37 +1587,44 @@ Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
     if (dir->MarkReferenced()) {
       kernel_->stats().shared_writes.Add();
     }
-    if (!file->have_snapshot) {
-      // One pass over the cached children builds a snapshot this stream
-      // serves from (getdents snapshot semantics).
-      EpochDomain::ReadGuard eguard(EpochDomain::Global());
-      SpinGuard guard(dir->lock);
-      for (Dentry* child : dir->children) {
-        if (child->IsNegative() || child->TestFlags(kDentAlias) ||
-            child->IsDead()) {
-          continue;
-        }
-        DirEntry e;
-        e.name = child->name();
-        if (child->IsStub()) {
-          e.ino = child->stub_ino;
-          e.type = child->stub_type;
-        } else if (Inode* ci = child->inode()) {
-          e.ino = ci->ino();
-          e.type = ci->type();
-        } else {
-          continue;
-        }
-        file->snapshot.push_back(std::move(e));
-      }
+    size_t n = 0;
+    if (!file->have_snapshot && file->dir_offset == 0) {
+      // A fresh stream fills the caller's vector straight from the child
+      // list. Only a listing that overflows max_entries keeps a snapshot
+      // (every entry, the returned ones included) for the rest of the
+      // stream (getdents snapshot semantics).
+      ForEachListedChild(
+          dir, [&](std::string_view name, InodeNum ino, FileType type) {
+            if (n < max_entries) {
+              PutDirEntry(out, n++, name, ino, type);
+              return;
+            }
+            if (!file->have_snapshot) {
+              file->snapshot.assign(out->begin(), out->begin() + n);
+              file->have_snapshot = true;
+            }
+            file->snapshot.push_back(DirEntry{std::string(name), ino, type});
+          });
+      file->dir_offset = file->have_snapshot ? n : kCachedListingReturned;
+      out->resize(n);
+      return n;
+    }
+    if (!file->have_snapshot && file->dir_offset != kCachedListingReturned) {
+      // A seek into a stream that kept no snapshot: list again.
+      ForEachListedChild(
+          dir, [&](std::string_view name, InodeNum ino, FileType type) {
+            file->snapshot.push_back(DirEntry{std::string(name), ino, type});
+          });
       file->have_snapshot = true;
     }
     uint64_t index = file->dir_offset;
-    while (index < file->snapshot.size() && out.size() < max_entries) {
-      out.push_back(file->snapshot[index++]);
+    while (index < file->snapshot.size() && n < max_entries) {
+      const DirEntry& e = file->snapshot[index++];
+      PutDirEntry(out, n++, e.name, e.ino, e.type);
     }
     file->dir_offset = index;
-    return out;
+    out->resize(n);
+    return n;
   }
 
   kernel_->stats().readdir_uncached.Add();
@@ -1609,7 +1656,8 @@ Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
       dir->SetFlags(kDentDirComplete);
     }
   }
-  return std::move(r->entries);
+  *out = std::move(r->entries);
+  return out->size();
 }
 
 Result<std::vector<DirEntry>> Task::ReadDirFd(FdNum fd, size_t max_entries) {

@@ -37,7 +37,9 @@ class File {
   // readdir scan state (§5.1): a directory becomes DIR_COMPLETE only after
   // a full scan that started at offset 0, saw no lseek, and lost no child
   // to eviction meanwhile. dir_offset is the FS continuation cursor (FS
-  // mode) or an index into `snapshot` (cached mode).
+  // mode) or an index into `snapshot` (cached mode). A cached-mode stream
+  // keeps a snapshot only when its first call overflowed max_entries or it
+  // was seeked after returning the whole listing.
   uint64_t dir_offset = 0;
   bool scan_from_zero = true;
   bool scan_seeked = false;
@@ -208,7 +210,10 @@ class Task : public std::enable_shared_from_this<Task> {
                        uint32_t mask);
   Status DoAccess(std::string_view path, int may_mask);
   Status DoClose(FdNum fd);
-  Result<std::vector<DirEntry>> DoReadDir(FdNum fd, size_t max_entries);
+  // Fills *out with up to max_entries entries (reusing its elements) and
+  // returns the count; *out is left untouched on error.
+  Result<size_t> DoReadDir(FdNum fd, size_t max_entries,
+                           std::vector<DirEntry>* out);
   static Stat StatFromInode(const Inode& inode);
 
   Kernel* const kernel_;

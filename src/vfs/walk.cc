@@ -354,8 +354,11 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
   Signature sig;
   {
     SpinGuard guard(d->lock);
-    if (!d->fast.path_valid.load(std::memory_order_acquire)) {
-      return;  // raced with an invalidation
+    // Raced with an invalidation, or with Kill/EvictOne, which took the
+    // dentry off the DLHT under this lock: publishing a dead dentry would
+    // leave a chain pointing at memory the epoch frees.
+    if (!d->fast.path_valid.load(std::memory_order_acquire) || d->IsDead()) {
+      return;
     }
     if (d->fast.on_dlht.load(std::memory_order_acquire) != &dlht) {
       Dlht::RemoveFromCurrent(&d->fast);

@@ -1,7 +1,9 @@
 // Concurrency: lock-free readers racing structural mutations (§3.2).
 // Readers must never crash, never see torn state, and never observe a
 // result that was not true at some point during the race window.
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +197,200 @@ TEST_P(ConcurrencyTest, CreateUnlinkChurnWithReaders) {
   stop.store(true, std::memory_order_release);
   workers[2].join();
   workers[3].join();
+}
+
+// Cached readdir (§5.1) racing create, unlink and rename in the listed
+// directory. Each name publishes its state through a per-name seqcount: a
+// mutator makes it odd, changes the name, records whether the name exists
+// and makes it even again. A reader snapshots every name before a one-call
+// listing and re-reads the counters after it; a name whose counter did not
+// move existed (or did not) for the whole call, so the listing must contain
+// (or omit) it.
+TEST_P(ConcurrencyTest, CachedReaddirRacesCreateUnlinkRename) {
+  Task& t = *world_.root;
+  ASSERT_OK(t.Mkdir("/mb"));
+  ASSERT_OK(t.Mkdir("/mb/cur"));
+  ASSERT_OK(t.Mkdir("/mb/tmp"));
+  struct Name {
+    std::string name;
+    std::atomic<uint32_t> seq{0};
+    std::atomic<bool> exists{false};
+  };
+  constexpr int kStable = 32;
+  constexpr int kPerCreator = 8;
+  constexpr int kFlagged = 8;
+  constexpr int kDelivered = 8;
+  std::vector<Name> names(kStable + 2 * kPerCreator + 2 * kFlagged +
+                          kDelivered);
+  std::map<std::string, size_t> index;
+  size_t next = 0;
+  auto add = [&](const std::string& n, bool create) {
+    Name& slot = names[next];
+    slot.name = n;
+    index[n] = next++;
+    if (create) {
+      auto fd = t.Open("/mb/cur/" + n, kOCreat | kOWrite);
+      ASSERT_OK(fd);
+      ASSERT_OK(t.Close(*fd));
+      slot.exists.store(true);
+    }
+  };
+  for (int i = 0; i < kStable; ++i) {
+    add("stable" + std::to_string(i), true);
+  }
+  for (int w = 0; w < 2; ++w) {
+    for (int i = 0; i < kPerCreator; ++i) {
+      add("c" + std::to_string(w) + "_" + std::to_string(i), false);
+    }
+  }
+  for (int i = 0; i < kFlagged; ++i) {
+    add("m" + std::to_string(i) + ":2,", true);
+    add("m" + std::to_string(i) + ":2,S", false);
+  }
+  for (int i = 0; i < kDelivered; ++i) {
+    add("d" + std::to_string(i), false);
+  }
+  // Runs `op` with the named entries' counters odd, then records whether
+  // each name exists afterwards.
+  auto mutate = [&](Task& task, std::initializer_list<Name*> ns,
+                    auto&& op) {
+    for (Name* n : ns) {
+      n->seq.fetch_add(1);
+    }
+    op();
+    for (Name* n : ns) {
+      auto st = task.Statx(kAtFdCwd, "/mb/cur/" + n->name, 0);
+      n->exists.store(st.ok());
+      n->seq.fetch_add(1);
+    }
+  };
+  auto at = [&](const std::string& n) { return &names[index.at(n)]; };
+
+  const uint64_t cached0 = world_.kernel->stats().readdir_cached.value();
+  const uint64_t fs0 = world_.kernel->stats().readdir_uncached.value();
+  // Mutators start once both readers run, so listings overlap mutations
+  // even when the scheduler starts the readers last.
+  std::atomic<int> readers_started{0};
+  auto await_readers = [&] {
+    while (readers_started.load() < 2) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<int> mutators_left{4};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      TaskPtr task = world_.root->Fork();
+      await_readers();
+      for (int i = 0; i < 400; ++i) {
+        Name* n = at("c" + std::to_string(w) + "_" +
+                     std::to_string(i % kPerCreator));
+        const std::string path = "/mb/cur/" + n->name;
+        mutate(*task, {n}, [&] {
+          if (n->exists.load()) {
+            EXPECT_OK(task->Unlink(path));
+          } else {
+            auto fd = task->Open(path, kOCreat | kOWrite);
+            EXPECT_OK(fd);
+            if (fd.ok()) {
+              EXPECT_OK(task->Close(*fd));
+            }
+          }
+        });
+      }
+      mutators_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {  // flag toggles: rename within cur/
+    TaskPtr task = world_.root->Fork();
+    await_readers();
+    for (int i = 0; i < 400; ++i) {
+      const std::string m = "m" + std::to_string(i % kFlagged);
+      Name* plain = at(m + ":2,");
+      Name* flagged = at(m + ":2,S");
+      Name* from = plain->exists.load() ? plain : flagged;
+      Name* to = from == plain ? flagged : plain;
+      mutate(*task, {from, to}, [&] {
+        EXPECT_OK(task->Rename("/mb/cur/" + from->name, "/mb/cur/" + to->name));
+      });
+    }
+    mutators_left.fetch_sub(1);
+  });
+  threads.emplace_back([&] {  // deliveries tmp/ -> cur/, then expunges
+    TaskPtr task = world_.root->Fork();
+    await_readers();
+    for (int i = 0; i < 400; ++i) {
+      Name* n = at("d" + std::to_string(i % kDelivered));
+      if (n->exists.load()) {
+        mutate(*task, {n},
+               [&] { EXPECT_OK(task->Unlink("/mb/cur/" + n->name)); });
+        continue;
+      }
+      auto fd = task->Open("/mb/tmp/" + n->name, kOCreat | kOWrite);
+      EXPECT_OK(fd);
+      if (!fd.ok()) {
+        continue;
+      }
+      EXPECT_OK(task->Close(*fd));
+      mutate(*task, {n}, [&] {
+        EXPECT_OK(task->Rename("/mb/tmp/" + n->name, "/mb/cur/" + n->name));
+      });
+    }
+    mutators_left.fetch_sub(1);
+  });
+  std::atomic<uint64_t> listings{0};
+  std::atomic<uint64_t> checked_present{0};
+  std::atomic<uint64_t> checked_absent{0};
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      TaskPtr task = world_.root->Fork();
+      std::vector<uint32_t> before(names.size());
+      std::vector<bool> existed(names.size());
+      std::vector<int> seen(names.size());
+      readers_started.fetch_add(1);
+      while (mutators_left.load() > 0) {
+        for (size_t i = 0; i < names.size(); ++i) {
+          before[i] = names[i].seq.load();
+          existed[i] = names[i].exists.load();
+        }
+        auto dfd = task->Open("/mb/cur", kORead | kODirectory);
+        ASSERT_OK(dfd);
+        auto batch = task->ReadDirFd(*dfd, 4096);
+        ASSERT_OK(batch);
+        std::fill(seen.begin(), seen.end(), 0);
+        for (const DirEntry& e : *batch) {
+          auto it = index.find(e.name);
+          ASSERT_NE(it, index.end()) << "listed unknown name " << e.name;
+          ++seen[it->second];
+        }
+        for (size_t i = 0; i < names.size(); ++i) {
+          EXPECT_LE(seen[i], 1) << names[i].name << " listed twice";
+          const uint32_t after = names[i].seq.load();
+          if (after != before[i] || (after & 1) != 0) {
+            continue;  // mutated during the call: either answer is right
+          }
+          EXPECT_EQ(seen[i] == 1, existed[i])
+              << names[i].name << (existed[i] ? " missing" : " resurrected");
+          (existed[i] ? checked_present : checked_absent).fetch_add(1);
+        }
+        ASSERT_OK(task->Close(*dfd));
+        listings.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_GT(listings.load(), 0u);
+  EXPECT_GT(checked_present.load(), 0u);
+  EXPECT_GT(checked_absent.load(), 0u);
+  if (GetParam()) {
+    // The directory stayed DIR_COMPLETE, so every listing came from the
+    // dcache's child list.
+    EXPECT_GE(world_.kernel->stats().readdir_cached.value() - cached0,
+              listings.load());
+    EXPECT_EQ(world_.kernel->stats().readdir_uncached.value(), fs0);
+  }
 }
 
 TEST_P(ConcurrencyTest, EvictionRacesLookups) {

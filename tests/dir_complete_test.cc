@@ -1,8 +1,12 @@
 // Directory-completeness caching (§5.1): when DIR_COMPLETE is set, when it
-// must NOT be set, miss elision, readdir-from-cache coherence, and stub
-// dentry materialization.
+// must NOT be set, miss elision, readdir-from-cache coherence, stub
+// dentry materialization, and the cached readdir over the positive head of
+// each child list.
+#include <map>
 #include <set>
+#include <vector>
 
+#include "src/server/batch.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -41,6 +45,39 @@ class DirCompleteTest : public ::testing::Test {
       }
     }
     ASSERT_OK(T().Close(*dfd));
+  }
+
+  void Touch(const std::string& path) {
+    auto fd = T().Open(path, kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_OK(T().Close(*fd));
+  }
+
+  // Reads `fd` to EOF in batches of `batch`, in stream order.
+  std::vector<std::string> Drain(FdNum fd, size_t batch) {
+    std::vector<std::string> names;
+    while (true) {
+      auto b = T().ReadDirFd(fd, batch);
+      EXPECT_OK(b);
+      if (!b.ok() || b->empty()) {
+        return names;
+      }
+      EXPECT_LE(b->size(), batch);
+      for (auto& e : *b) {
+        names.push_back(e.name);
+      }
+    }
+  }
+
+  // The dentry's children in list order, as (name, is negative or alias).
+  std::vector<std::pair<std::string, bool>> ChildOrder(Dentry* dir) {
+    std::vector<std::pair<std::string, bool>> order;
+    SpinGuard guard(dir->lock);
+    for (Dentry* child : dir->children) {
+      order.emplace_back(child->name(),
+                         child->TestFlags(kDentNegative | kDentAlias));
+    }
+    return order;
   }
 
   TestWorld world_;
@@ -175,6 +212,217 @@ TEST_F(DirCompleteTest, BaselineNeverSetsFlag) {
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->TestFlags(kDentDirComplete));
   baseline.kernel->dcache().Dput(d);
+}
+
+TEST_F(DirCompleteTest, CachedReaddirSkipsUnlinkedNames) {
+  ASSERT_OK(T().Mkdir("/half"));
+  // Creations and unlinks interleave, as in a mailbox: most files are
+  // created after earlier ones became negatives.
+  std::set<std::string> survivors;
+  for (int i = 0; i < 2000; ++i) {
+    std::string name = "f" + std::to_string(i);
+    Touch("/half/" + name);
+    if (i % 2 == 1) {
+      ASSERT_OK(T().Unlink("/half/f" + std::to_string(i - 1)));
+      survivors.insert(name);
+    }
+  }
+  // The unlinks left 1000 negatives behind, all after the positives.
+  auto order = ChildOrder(DirDentry("half"));
+  ASSERT_EQ(order.size(), 2000u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i].second, i >= 1000) << i << " " << order[i].first;
+  }
+  uint64_t cached = world_.kernel->stats().readdir_cached.value();
+  auto dfd = T().Open("/half", kORead | kODirectory);
+  ASSERT_OK(dfd);
+  std::vector<std::string> names = Drain(*dfd, 4096);
+  ASSERT_OK(T().Close(*dfd));
+  EXPECT_EQ(names.size(), 1000u);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()), survivors);
+  EXPECT_EQ(world_.kernel->stats().readdir_cached.value(), cached + 2);
+}
+
+TEST_F(DirCompleteTest, SmallBatchesReturnEachPositiveOnce) {
+  ASSERT_OK(T().Mkdir("/small"));
+  std::set<std::string> expect;
+  for (int i = 0; i < 60; ++i) {
+    Touch("/small/f" + std::to_string(i));
+    expect.insert("f" + std::to_string(i));
+  }
+  for (int i = 0; i < 60; i += 3) {
+    ASSERT_OK(T().Unlink("/small/f" + std::to_string(i)));
+    expect.erase("f" + std::to_string(i));
+  }
+  EXPECT_ERR(T().Statx(kAtFdCwd, "/small/never", 0), Errno::kENOENT);
+  auto dfd = T().Open("/small", kORead | kODirectory);
+  ASSERT_OK(dfd);
+  std::vector<std::string> names = Drain(*dfd, 7);
+  EXPECT_EQ(names.size(), expect.size());
+  std::multiset<std::string> seen(names.begin(), names.end());
+  for (const std::string& n : expect) {
+    EXPECT_EQ(seen.count(n), 1u) << n;
+  }
+  // Past EOF the stream stays at EOF.
+  auto more = T().ReadDirFd(*dfd, 7);
+  ASSERT_OK(more);
+  EXPECT_TRUE(more->empty());
+  ASSERT_OK(T().Close(*dfd));
+}
+
+TEST_F(DirCompleteTest, SeekOnReturnedAndOverflowedStreams) {
+  ASSERT_OK(T().Mkdir("/seek"));
+  for (int i = 0; i < 20; ++i) {
+    Touch("/seek/f" + std::to_string(i));
+  }
+  ASSERT_OK(T().Unlink("/seek/f4"));
+  ASSERT_TRUE(DirDentry("seek")->TestFlags(kDentDirComplete));
+  for (size_t batch : {size_t{4096}, size_t{7}}) {
+    SCOPED_TRACE(batch);
+    auto dfd = T().Open("/seek", kORead | kODirectory);
+    ASSERT_OK(dfd);
+    const std::vector<std::string> whole = Drain(*dfd, batch);
+    ASSERT_EQ(whole.size(), 19u);
+    // Rewind: the stream starts over.
+    ASSERT_OK(T().Lseek(*dfd, 0));
+    EXPECT_EQ(Drain(*dfd, batch), whole);
+    // A mid-stream seek resumes at that index of the listing.
+    ASSERT_OK(T().Lseek(*dfd, 5));
+    EXPECT_EQ(Drain(*dfd, batch),
+              std::vector<std::string>(whole.begin() + 5, whole.end()));
+    // Seeking mid-way through a partly read stream.
+    ASSERT_OK(T().Lseek(*dfd, 0));
+    auto first = T().ReadDirFd(*dfd, batch);
+    ASSERT_OK(first);
+    ASSERT_OK(T().Lseek(*dfd, 12));
+    EXPECT_EQ(Drain(*dfd, batch),
+              std::vector<std::string>(whole.begin() + 12, whole.end()));
+    // Past the end is EOF.
+    ASSERT_OK(T().Lseek(*dfd, 100));
+    EXPECT_TRUE(Drain(*dfd, batch).empty());
+    ASSERT_OK(T().Close(*dfd));
+  }
+}
+
+TEST_F(DirCompleteTest, CallerVectorKeepsNoStaleTail) {
+  ASSERT_OK(T().Mkdir("/long"));
+  ASSERT_OK(T().Mkdir("/short"));
+  for (int i = 0; i < 100; ++i) {
+    Touch("/long/a_rather_long_message_name_" + std::to_string(i));
+  }
+  for (int i = 0; i < 10; ++i) {
+    Touch("/short/s" + std::to_string(i));
+  }
+  std::vector<DirEntry> ents;
+  for (const char* dir : {"/long", "/short", "/long"}) {
+    auto dfd = T().Open(dir, kORead | kODirectory);
+    ASSERT_OK(dfd);
+    server::Sqe sqe = server::Sqe::Readdir(*dfd, &ents, 4096);
+    server::Cqe cqe;
+    T().SubmitBatch(&sqe, 1, &cqe);
+    ASSERT_TRUE(cqe.ok()) << cqe.error_name();
+    const size_t want = dir == std::string("/long") ? 100 : 10;
+    EXPECT_EQ(static_cast<size_t>(cqe.res), want);
+    ASSERT_EQ(ents.size(), want);
+    std::set<std::string> names;
+    for (const DirEntry& e : ents) {
+      names.insert(e.name);
+      auto st = T().Statx(kAtFdCwd, std::string(dir) + "/" + e.name, 0);
+      ASSERT_OK(st);
+      EXPECT_EQ(st->ino, e.ino) << e.name;
+    }
+    EXPECT_EQ(names.size(), want);
+    // The next call reports EOF as an empty vector.
+    T().SubmitBatch(&sqe, 1, &cqe);
+    EXPECT_EQ(cqe.res, 0);
+    EXPECT_TRUE(ents.empty());
+    ASSERT_OK(T().Close(*dfd));
+    // Refill for the next directory from a full vector.
+    ents.resize(100);
+    ents.back().name = "stale";
+  }
+  // A failing call leaves the vector alone.
+  server::Sqe bad = server::Sqe::Readdir(12345, &ents, 4096);
+  server::Cqe cqe;
+  T().SubmitBatch(&bad, 1, &cqe);
+  EXPECT_EQ(cqe.error(), Errno::kEBADF);
+  EXPECT_EQ(ents.size(), 100u);
+}
+
+TEST_F(DirCompleteTest, FlagRenamesAndDeliveriesKeepChildOrder) {
+  ASSERT_OK(T().Mkdir("/mb"));
+  ASSERT_OK(T().Mkdir("/mb/cur"));
+  ASSERT_OK(T().Mkdir("/mb/tmp"));
+  std::map<int, bool> flagged;  // message -> carries the S flag
+  auto name = [&](int m, bool f) {
+    return "m" + std::to_string(m) + (f ? ":2,S" : ":2,");
+  };
+  for (int m = 0; m < 40; ++m) {
+    Touch("/mb/cur/" + name(m, false));
+    flagged[m] = false;
+  }
+  int next = 40;
+  for (int round = 0; round < 200; ++round) {
+    const int m = (round * 7) % next;
+    if (flagged.count(m) != 0) {
+      ASSERT_OK(T().Rename("/mb/cur/" + name(m, flagged[m]),
+                           "/mb/cur/" + name(m, !flagged[m])));
+      flagged[m] = !flagged[m];
+    }
+    if (round % 7 == 0) {  // an APPEND creates straight into cur/
+      Touch("/mb/cur/" + name(next, false));
+      flagged[next++] = false;
+    }
+    if (round % 3 == 0) {
+      Touch("/mb/tmp/d" + std::to_string(next));
+      ASSERT_OK(T().Rename("/mb/tmp/d" + std::to_string(next),
+                           "/mb/cur/" + name(next, false)));
+      flagged[next++] = false;
+    }
+    if (round % 5 == 0 && !flagged.empty()) {
+      auto victim = flagged.begin();
+      ASSERT_OK(T().Unlink("/mb/cur/" + name(victim->first, victim->second)));
+      flagged.erase(victim);
+    }
+    if (round % 20 == 0) {
+      std::set<std::string> names;
+      ListAll("/mb/cur", 4096, &names);
+      std::set<std::string> expect;
+      for (const auto& [msg, f] : flagged) {
+        expect.insert(name(msg, f));
+      }
+      EXPECT_EQ(names, expect) << "round " << round;
+    }
+  }
+  ASSERT_TRUE(DirDentry("mb")->TestFlags(kDentDirComplete));
+  obs::AuditReport report = world_.kernel->Audit();
+  EXPECT_TRUE(report.clean()) << report.ToText();
+}
+
+TEST_F(DirCompleteTest, AuditFlagsPositiveAfterNegative) {
+  ASSERT_OK(T().Mkdir("/order"));
+  Touch("/order/live");
+  EXPECT_ERR(T().Statx(kAtFdCwd, "/order/gone", 0), Errno::kENOENT);
+  Dentry* dir = DirDentry("order");
+  ASSERT_TRUE(world_.kernel->Audit().clean());
+  // Move the negative to the head by hand: the audit must notice.
+  {
+    SpinGuard guard(dir->lock);
+    Dentry* neg = dir->children.Back();
+    ASSERT_TRUE(neg->IsNegative());
+    neg->child_node.Unlink();
+    dir->children.PushFront(neg);
+  }
+  obs::AuditReport report = world_.kernel->Audit();
+  ASSERT_FALSE(report.clean());
+  EXPECT_EQ(report.violations[0].check, obs::AuditCheck::kTreeStructure);
+  {
+    SpinGuard guard(dir->lock);
+    Dentry* neg = dir->children.Front();
+    neg->child_node.Unlink();
+    dir->children.PushBack(neg);
+  }
+  EXPECT_TRUE(world_.kernel->Audit().clean());
 }
 
 }  // namespace
