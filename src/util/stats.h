@@ -118,6 +118,8 @@ class ShardedCounter {
   X(pcc_hits, "pcc_hit")                                                    \
   X(pcc_misses, "pcc_miss")                                                 \
   X(pcc_stale, "pcc_stale")           /* seq mismatched */                  \
+  X(pcc_climbs, "pcc_climbs")         /* hits an ancestor memo proved */    \
+  X(pcc_climb_hops, "pcc_climb_hops") /* dirs those climbs checked */       \
   X(dlht_hits, "dlht_hit")                                                  \
   X(dlht_misses, "dlht_miss")                                               \
   X(dlht_collisions, "dlht_coll")     /* chain entries skipped */           \

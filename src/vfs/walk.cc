@@ -360,6 +360,12 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
     if (!d->fast.path_valid.load(std::memory_order_acquire) || d->IsDead()) {
       return;
     }
+    if (d->fast.mount.load(std::memory_order_acquire) != mnt) {
+      // Published under another mount's path (a bind alias, §4.3): this
+      // walk's search checks say nothing about that path, and a memo is
+      // read as covering the published one.
+      return;
+    }
     if (d->fast.on_dlht.load(std::memory_order_acquire) != &dlht) {
       Dlht::RemoveFromCurrent(&d->fast);
       dlht.Insert(&d->fast);
@@ -458,7 +464,13 @@ static void PopulatePrefixDirs(Kernel* kernel, Task& task,
       Populate(kernel, task, prefixes.dirs[i].mnt, prefixes.dirs[i].d,
                inval_snapshot);
     } else {
-      pcc->Insert(prefixes.dirs[i].d, prefixes.dirs[i].seq);
+      // As in Populate: memoize only a directory published under this
+      // walk's mount.
+      const FastDentry& f = prefixes.dirs[i].d->fast;
+      if (f.path_valid.load(std::memory_order_acquire) &&
+          f.mount.load(std::memory_order_acquire) == prefixes.dirs[i].mnt) {
+        pcc->Insert(prefixes.dirs[i].d, prefixes.dirs[i].seq);
+      }
     }
   }
 }
@@ -558,6 +570,83 @@ static void ProbeShortcutAncestor(Kernel* k, Task& task,
     sc->ancestor_depth = static_cast<uint16_t>(pd);
     return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fastpath prefix check with ancestor climb (DESIGN.md deviation 4)
+
+// True when this credential may search every directory on the path to the
+// DLHT-hit dentry `d` (observed at version `seq`). The answer is d's own PCC
+// memo when present. Otherwise the PCC holds one entry per dentry, so trees
+// much larger than the PCC evict most of them (§6.3's updatedb
+// sensitivity); the check then climbs `parent()` from d, directly checks
+// search permission on each directory it visits, and accepts at the first
+// one whose own memo hits for d's mount: that memo covers the prefix above
+// it, and the direct checks cover the rest. DLHT membership plus d's seq,
+// unchanged across the climb, prove the climbed chain is d's current path;
+// the caller's success tail re-checks the coherence token. The climb gives
+// up (slowpath) at an alias, negative, stub or dead dentry, at a covered
+// mountpoint, and after the root of d's mount. It memoizes nothing, and its
+// probes pass no stats, so pcc_hit/pcc_miss keep describing d's own memo.
+//
+// Caller must be inside an epoch read guard. A dentry drops its reference
+// on its parent only when it is itself released, so each parent the climb
+// reads is retired no earlier than its child and stays readable.
+static bool PrefixCheckHolds(Kernel* k, Task& task, Pcc* pcc, Dentry* d,
+                             uint32_t seq, CacheStats& stats,
+                             PccMiss* miss = nullptr) {
+  if (pcc->Lookup(d, seq, &stats, miss)) {
+    return true;
+  }
+  if (d->TestFlags(kDentAlias)) {
+    return false;
+  }
+  MountNamespace* ns = task.ns().get();
+  Mount* m = d->fast.mount.load(std::memory_order_acquire);
+  if (m == nullptr || m->ns != ns) {
+    return false;
+  }
+  uint64_t hops = 0;
+  for (Dentry* x = d->parent(); x != nullptr; x = x->parent()) {
+    ++hops;
+    const uint32_t xflags = x->flags();
+    if ((xflags & (kDentNegative | kDentStub | kDentAlias)) != 0 ||
+        x->IsDead()) {
+      return false;
+    }
+    if ((xflags & kDentMountpoint) != 0 && ns->MountAt(m, x) != nullptr) {
+      return false;  // covered: d's path does not run through x
+    }
+    Inode* xi = x->inode();
+    if (xi == nullptr || !xi->IsDir() ||
+        !k->security().Permission(*task.cred(), *xi, kMayExec, x).ok()) {
+      return false;  // the slowpath reports the denial
+    }
+    // A memo covers the path its dentry is published under, and a
+    // republish under another mount bumps the seq (§4.3): load the seq
+    // first, and accept the memo only for d's own mount.
+    const uint32_t xseq = x->fast.seq.load(std::memory_order_acquire);
+    if (x->fast.mount.load(std::memory_order_acquire) == m &&
+        pcc->Lookup(x, xseq)) {
+      if (d->fast.seq.load(std::memory_order_acquire) != seq) {
+        return false;
+      }
+      stats.pcc_climbs.Add();
+      stats.pcc_climb_hops.Add(hops);
+      const CacheConfig& cfg = k->config();
+      if (cfg.pcc_autosize && pcc->ShouldGrow()) {
+        // A climb means d's own memo was evicted: the same thrash signal
+        // Populate grows the table on (§6.5), seen here because climbs
+        // keep the walks that would reach Populate from happening.
+        task.cred()->GrowPcc(cfg.pcc_max_bytes);
+      }
+      return true;
+    }
+    if (x == m->root) {
+      return false;  // the path continues in the parent mount
+    }
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1605,7 +1694,7 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
         Dentry* pd = DentryFromFast(pfd);
         uint32_t pseq = pfd->seq.load(std::memory_order_acquire);
         PccMiss pmiss = PccMiss::kNone;
-        if (!pcc->Lookup(pd, pseq, &stats, &pmiss)) {
+        if (!PrefixCheckHolds(k, task, pcc, pd, pseq, stats, &pmiss)) {
           stats.pcc_misses.Add();
           TraceOutcome(PccMissOutcome(pmiss, epoch_flushed));
           return false;
@@ -1678,33 +1767,10 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
   {
     PhaseTimer t(&WalkPhaseProfile::permission_ns);
     PccMiss pcc_miss = PccMiss::kNone;
-    if (!pcc->Lookup(d, seq, &stats, &pcc_miss)) {
-      // Last-hop fallback: the PCC holds one entry per dentry, so trees
-      // much larger than the PCC evict file entries first (§6.3 discusses
-      // exactly this updatedb sensitivity). A DLHT hit is still usable if
-      // the *parent directory's* prefix check is memoized and its search
-      // permission passes a direct check: DLHT membership plus a stable
-      // version counter proves the path is current, and parent-prefix +
-      // parent-exec covers the full prefix chain.
-      Dentry* parent = d->parent();
-      bool ok = false;
-      if (parent != nullptr && !d->TestFlags(kDentAlias) &&
-          parent != d) {
-        uint32_t pseq = parent->fast.seq.load(std::memory_order_acquire);
-        if (pcc->Lookup(parent, pseq, &stats)) {
-          Inode* pi = parent->inode();
-          ok = pi != nullptr && pi->IsDir() &&
-               k->security()
-                   .Permission(*task.cred(), *pi, kMayExec, parent)
-                   .ok() &&
-               fd->seq.load(std::memory_order_acquire) == seq;
-        }
-      }
-      if (!ok) {
-        stats.pcc_misses.Add();
-        TraceOutcome(PccMissOutcome(pcc_miss, epoch_flushed));
-        return false;
-      }
+    if (!PrefixCheckHolds(k, task, pcc, d, seq, stats, &pcc_miss)) {
+      stats.pcc_misses.Add();
+      TraceOutcome(PccMissOutcome(pcc_miss, epoch_flushed));
+      return false;
     }
   }
 
@@ -1731,7 +1797,7 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
     }
     Dentry* td = DentryFromFast(tfd);
     uint32_t tseq = tfd->seq.load(std::memory_order_acquire);
-    if (!pcc->Lookup(td, tseq, &stats)) {
+    if (!PrefixCheckHolds(k, task, pcc, td, tseq, stats)) {
       return false;
     }
     if (fd->seq.load(std::memory_order_acquire) != seq) {
@@ -1752,7 +1818,7 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
       return false;
     }
     uint32_t tseq = target->fast.seq.load(std::memory_order_acquire);
-    if (!pcc->Lookup(target, tseq, &stats)) {
+    if (!PrefixCheckHolds(k, task, pcc, target, tseq, stats)) {
       return false;
     }
     if (fd->seq.load(std::memory_order_acquire) != seq) {

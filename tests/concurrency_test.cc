@@ -651,6 +651,164 @@ INSTANTIATE_TEST_SUITE_P(BothKernels, ConcurrencyTest, ::testing::Bool(),
                          });
 
 // ---------------------------------------------------------------------------
+// Ancestor-climb PCC fallback (DESIGN.md deviation 4) under mutation: with a
+// 16-entry PCC most warm hits are proven by climbing to a memoized ancestor,
+// so a chmod or rename of a directory on the climbed chain must never let
+// one through with the old answer.
+
+class AncestorClimbRaceTest : public ::testing::Test {
+ protected:
+  static CacheConfig TinyPcc() {
+    CacheConfig cfg = CacheConfig::Optimized();
+    cfg.pcc_bytes = 256;
+    return cfg;
+  }
+
+  AncestorClimbRaceTest() : world_(TinyPcc()) {}
+
+  void TearDown() override {
+    obs::AuditReport report = world_.kernel->Audit();
+    EXPECT_TRUE(report.clean()) << report.ToText();
+  }
+
+  TestWorld world_;
+};
+
+TEST_F(AncestorClimbRaceTest, ChmodAndRenameStormsOnClimbedDirectories) {
+  Task& t = *world_.root;
+  constexpr int kLeaves = 16;
+  for (const char* d : {"/t", "/t/a", "/t/a/b", "/t/a/b/c", "/t/a/b/c/d"}) {
+    ASSERT_OK(t.Mkdir(d, 0755));
+  }
+  for (int i = 0; i < kLeaves; ++i) {
+    auto fd = t.Open("/t/a/b/c/d/f" + std::to_string(i), kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_OK(t.Close(*fd));
+  }
+  // One monotonic word per mutator: word >> 2 counts transitions, bit 1 is
+  // set while one is in flight, and bit 0 is the settled state (chmod:
+  // 1 = /t/a closed to others; rename: 1 = b is named b2).
+  std::atomic<uint64_t> chmod_word{0};
+  std::atomic<uint64_t> rename_word{0};
+  // The states a reader may have raced with: the stable one, or both when
+  // the word moved (or was mid-transition) around the op.
+  auto states = [](uint64_t before, uint64_t after) {
+    if (before == after && (before & 2) == 0) {
+      return std::vector<int>{static_cast<int>(before & 1)};
+    }
+    return std::vector<int>{0, 1};
+  };
+  auto expected = [](int closed, int renamed, bool via_b2) {
+    if (closed != 0) {
+      return Errno::kEACCES;
+    }
+    return (renamed != 0) == via_b2 ? Errno::kOk : Errno::kENOENT;
+  };
+
+  const uint64_t climbs0 = world_.kernel->stats().pcc_climbs.value();
+  std::atomic<int> readers_started{0};
+  std::atomic<int> mutators_left{2};
+  std::atomic<uint64_t> definitive{0};
+  std::atomic<uint64_t> reads{0};
+  constexpr int kReaders = 3;
+  auto await_readers = [&] {
+    while (readers_started.load() < kReaders) {
+      std::this_thread::yield();
+    }
+  };
+  // Lets the readers finish `n` more lookups: a settled window in which the
+  // PCC re-warms and hits go back to climbing.
+  auto await_reads = [&](uint64_t n) {
+    const uint64_t target = reads.load() + n;
+    while (reads.load() < target) {
+      std::this_thread::yield();
+    }
+  };
+  auto storm = [&](std::atomic<uint64_t>& word, auto&& flip) {
+    TaskPtr task = world_.root->Fork();
+    await_readers();
+    for (uint64_t i = 1; i <= 300; ++i) {
+      const uint64_t state = i & 1;
+      word.store(((i - 1) << 2) | 2, std::memory_order_release);
+      flip(*task, state);
+      word.store(i << 2 | state, std::memory_order_release);
+      if ((i & 3) < 2) {
+        await_reads(2 * kLeaves);  // settles in both states
+      }
+    }
+    mutators_left.fetch_sub(1);
+  };
+  std::thread chmods([&] {
+    storm(chmod_word, [](Task& task, uint64_t closed) {
+      EXPECT_OK(task.Chmod("/t/a", closed != 0 ? 0750 : 0755));
+    });
+  });
+  std::thread renames([&] {
+    storm(rename_word, [](Task& task, uint64_t renamed) {
+      EXPECT_OK(renamed != 0 ? task.Rename("/t/a/b", "/t/a/b2")
+                             : task.Rename("/t/a/b2", "/t/a/b"));
+    });
+  });
+  std::vector<std::thread> readers;
+  // Reader 0 is root: search permission never stops it, so it keeps the
+  // leaves in the DLHT even while /t/a is closed, and alice's lookups then
+  // hit there and must be refused by the climb's own search checks.
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const bool is_root = r == 0;
+      TaskPtr task =
+          is_root ? world_.root->Fork() : world_.UserTask(1000, 1000);
+      readers_started.fetch_add(1);
+      for (uint64_t n = r; mutators_left.load() > 0; ++n) {
+        if (n % 8 == 7) {
+          // Keeps /t's memo warm: the ancestor every climb can end at.
+          EXPECT_OK(task->Statx(kAtFdCwd, "/t", 0));
+          continue;
+        }
+        const bool via_b2 = (n & 1) != 0;
+        const std::string path = std::string(via_b2 ? "/t/a/b2" : "/t/a/b") +
+                                 "/c/d/f" + std::to_string(n % kLeaves);
+        const uint64_t c0 = chmod_word.load(std::memory_order_acquire);
+        const uint64_t r0 = rename_word.load(std::memory_order_acquire);
+        auto res = task->Statx(kAtFdCwd, path, 0);
+        const uint64_t c1 = chmod_word.load(std::memory_order_acquire);
+        const uint64_t r1 = rename_word.load(std::memory_order_acquire);
+        const Errno got = res.ok() ? Errno::kOk : res.error();
+        bool allowed = false;
+        for (int closed : states(c0, c1)) {
+          for (int renamed : states(r0, r1)) {
+            allowed = allowed ||
+                      got == expected(is_root ? 0 : closed, renamed, via_b2);
+          }
+        }
+        EXPECT_TRUE(allowed) << path << " -> " << ErrnoName(got);
+        if (res.ok()) {
+          EXPECT_TRUE(res->IsRegular());
+        }
+        if (c0 == c1 && r0 == r1 && (c0 & 2) == 0 && (r0 & 2) == 0) {
+          definitive.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  chmods.join();
+  renames.join();
+  for (std::thread& th : readers) {
+    th.join();
+  }
+  EXPECT_GT(definitive.load(), 0u);
+  // Warm the settled tree: the tiny PCC must have been climbing.
+  TaskPtr alice = world_.UserTask(1000, 1000);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kLeaves; ++i) {
+      EXPECT_OK(alice->Statx(kAtFdCwd, "/t/a/b/c/d/f" + std::to_string(i), 0));
+    }
+  }
+  EXPECT_GT(world_.kernel->stats().pcc_climbs.value(), climbs0);
+}
+
+// ---------------------------------------------------------------------------
 // Invalidation engine: parallel passes, gate progress, overlapping subtrees.
 // Runs on the optimized kernel with a low parallel threshold so the worker
 // pool actually engages at test-sized subtrees.

@@ -252,6 +252,11 @@ TEST_P(EquivalenceTest, RandomTraceMatchesBaseline) {
   elastic.dlht_buckets = 1 << 5;
   elastic.dlht_min_buckets = 1 << 4;
   elastic.dlht_resize_step = 4;
+  // A 16-entry PCC: a large share of fast hits (a tenth to a half, by
+  // seed) find their own memo evicted and are proven by the ancestor climb
+  // (DESIGN.md deviation 4).
+  CacheConfig tiny_pcc = CacheConfig::Optimized();
+  tiny_pcc.pcc_bytes = 256;
 
   World baseline(CacheConfig::Baseline());
   World optimized(lexless);
@@ -259,10 +264,12 @@ TEST_P(EquivalenceTest, RandomTraceMatchesBaseline) {
   World features(features_only);
   World noshortcut(no_shortcut);
   World resizechurn(elastic);
-  World* worlds[] = {&baseline, &optimized, &fastpath,    &features,
-                     &noshortcut, &resizechurn};
-  const char* labels[] = {"baseline",    "optimized",   "fastpath-only",
-                          "features-only", "no-shortcut", "resize-churn"};
+  World tinypcc(tiny_pcc);
+  World* worlds[] = {&baseline,   &optimized,   &fastpath, &features,
+                     &noshortcut, &resizechurn, &tinypcc};
+  const char* labels[] = {"baseline",      "optimized",   "fastpath-only",
+                          "features-only", "no-shortcut", "resize-churn",
+                          "tiny-pcc"};
 
   // Each world gets an identical RNG so tasks/paths/ops line up exactly.
   for (int step = 0; step < 1500; ++step) {
@@ -314,6 +321,9 @@ TEST_P(EquivalenceTest, RandomTraceMatchesBaseline) {
       }
     }
   }
+  // The tiny-PCC world must actually have exercised the climb.
+  const CacheStats& tiny = tinypcc.world.kernel->stats();
+  EXPECT_GT(tiny.pcc_climbs.value(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,

@@ -218,6 +218,41 @@ TEST_F(FastpathTest, DirectoryReferenceSemantics) {
   EXPECT_ERR(alice->Statx(kAtFdCwd, "/home/alice/docs/file", 0), Errno::kEACCES);
 }
 
+TEST_F(FastpathTest, BindAliasWalkGrantsNothingOnThePublishedPath) {
+  // /locked/d is reachable through /locked (closed to others) and, bound,
+  // through /open/view. Root publishes the plain path first; alice's walks
+  // through the bind must not memoize a grant that the plain path's fast
+  // lookup then reads as its own.
+  Task& root = *world_.root;
+  auto build = [](Task& t) {
+    EXPECT_OK(t.Mkdir("/locked"));
+    EXPECT_OK(t.Mkdir("/locked/d"));
+    EXPECT_OK(t.Chmod("/locked/d", 0755));
+    auto fd = t.Open("/locked/d/leaf", kOCreat | kOWrite);
+    EXPECT_OK(fd);
+    EXPECT_OK(t.Close(*fd));
+    EXPECT_OK(t.Chmod("/locked", 0700));
+    EXPECT_OK(t.Mkdir("/open"));
+    EXPECT_OK(t.Chmod("/open", 0755));
+    EXPECT_OK(t.Mkdir("/open/view"));
+    EXPECT_OK(t.BindMount("/locked/d", "/open/view"));
+  };
+  build(root);
+  ASSERT_OK(root.Statx(kAtFdCwd, "/locked/d/leaf", 0));
+  ASSERT_OK(root.Statx(kAtFdCwd, "/locked/d/leaf", 0));
+  TaskPtr alice = world_.UserTask(1000, 1000);
+  EXPECT_OK(alice->Statx(kAtFdCwd, "/open/view/leaf", 0));
+  EXPECT_OK(alice->Statx(kAtFdCwd, "/open/view/leaf", 0));
+  EXPECT_ERR(alice->Statx(kAtFdCwd, "/locked/d/leaf", 0), Errno::kEACCES);
+  EXPECT_ERR(alice->Statx(kAtFdCwd, "/locked/d/leaf", 0), Errno::kEACCES);
+
+  TestWorld baseline(CacheConfig::Baseline());
+  build(*baseline.root);
+  TaskPtr balice = baseline.UserTask(1000, 1000);
+  EXPECT_OK(balice->Statx(kAtFdCwd, "/open/view/leaf", 0));
+  EXPECT_ERR(balice->Statx(kAtFdCwd, "/locked/d/leaf", 0), Errno::kEACCES);
+}
+
 TEST_F(FastpathTest, ForcedMissFallsBackCorrectly) {
   Task& t = *world_.root;
   ASSERT_OK(t.Statx(kAtFdCwd, "/home/alice/docs/file", 0));
@@ -284,6 +319,250 @@ TEST_F(FastpathTest, LabelLsmDecisionsAreMemoizedAndInvalidated) {
   lsm_ptr->ClearRule("agent_t", "alice_home");
   ASSERT_OK(world_.root->SetSecurityLabel("/home/alice", "alice_home"));
   EXPECT_ERR(agent->Statx(kAtFdCwd, "/home/alice/docs/file", 0), Errno::kEACCES);
+}
+
+// Ancestor-climb PCC fallback (DESIGN.md deviation 4): a DLHT hit whose own
+// prefix memo is gone is proven from the nearest memoized ancestor plus
+// direct search checks on the directories in between.
+class AncestorClimbTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kLeaf = "/d1/d2/d3/d4/d5/leaf";  // depth 6
+
+  AncestorClimbTest() : world_(CacheConfig::Optimized()) {
+    BuildTree(world_);
+    alice_ = world_.UserTask(1000, 1000);
+  }
+
+  // Root-owned 0755 directories d1..d5 and a regular file below them.
+  static void BuildTree(TestWorld& w) {
+    Task& t = *w.root;
+    std::string dir;
+    for (const char* c : {"d1", "d2", "d3", "d4", "d5"}) {
+      dir += "/";
+      dir += c;
+      EXPECT_OK(t.Mkdir(dir));
+      EXPECT_OK(t.Chmod(dir, 0755));
+    }
+    auto fd = t.Open(kLeaf, kOCreat | kOWrite);
+    EXPECT_OK(fd);
+    EXPECT_OK(t.Close(*fd));
+  }
+
+  // The cached dentry a literal path names inside the root file system
+  // (no symlink following, no mount crossing). Returned unreferenced:
+  // nothing in these tests evicts.
+  Dentry* Cached(std::string_view path) {
+    DentryCache& dc = world_.kernel->dcache();
+    Dentry* d = world_.root->root().dentry();
+    std::string_view rest = path;
+    while (d != nullptr && !rest.empty()) {
+      size_t slash = rest.find('/');
+      std::string_view comp = rest.substr(0, slash);
+      rest = slash == std::string_view::npos ? "" : rest.substr(slash + 1);
+      if (comp.empty()) {
+        continue;
+      }
+      Dentry* child = dc.LookupRef(d, comp);
+      if (child != nullptr) {
+        dc.Dput(child);
+      } else {
+        // Aliases are invisible to the primary hash (§4.2).
+        SpinGuard guard(d->lock);
+        for (Dentry* c : d->children) {
+          if (c->TestFlags(kDentAlias) && c->name() == comp) {
+            child = c;
+          }
+        }
+      }
+      d = child;
+    }
+    EXPECT_NE(d, nullptr) << path;
+    return d;
+  }
+
+  // Leave `task`'s PCC holding pointer memos for exactly `paths`.
+  void MemoizeOnly(Task& task, std::initializer_list<const char*> paths) {
+    Pcc* pcc = task.cred()->pcc();
+    ASSERT_NE(pcc, nullptr);
+    pcc->Flush();
+    for (const char* p : paths) {
+      Dentry* d = Cached(p);
+      ASSERT_NE(d, nullptr);
+      pcc->Insert(d, d->fast.seq.load(std::memory_order_acquire));
+    }
+  }
+
+  CacheStats& S() { return world_.kernel->stats(); }
+
+  // Statx with the slowpath forbidden (enforced where asserts are on).
+  Result<Stat> FastStatx(Task& t, const char* path) {
+    PathWalker::forbid_slowpath = true;
+    Result<Stat> r = t.Statx(kAtFdCwd, path, 0);
+    PathWalker::forbid_slowpath = false;
+    return r;
+  }
+
+  TestWorld world_;
+  TaskPtr alice_;
+};
+
+TEST_F(AncestorClimbTest, GrandparentMemoServesDepthSixLeaf) {
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));  // slowpath: DLHT + memos
+  const uint64_t climbs = S().pcc_climbs.value();
+  ASSERT_OK(FastStatx(*alice_, kLeaf));  // the leaf's own memo: no climb
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+  MemoizeOnly(*alice_, {"/d1/d2/d3/d4"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t slow = S().slowpath_walks.value();
+  const uint64_t hops = S().pcc_climb_hops.value();
+  const uint64_t pcc_hits = S().pcc_hits.value();
+  ASSERT_OK(FastStatx(*alice_, kLeaf));
+  EXPECT_EQ(S().fastpath_hits.value(), hits + 1);
+  EXPECT_EQ(S().slowpath_walks.value(), slow);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs + 1);
+  EXPECT_EQ(S().pcc_climb_hops.value(), hops + 2);  // d5, then d4's memo
+  EXPECT_EQ(S().pcc_hits.value(), pcc_hits);  // ancestor probes uncounted
+  // The climb memoizes nothing: the leaf's next lookup climbs again.
+  ASSERT_OK(FastStatx(*alice_, kLeaf));
+  EXPECT_EQ(S().pcc_climbs.value(), climbs + 2);
+}
+
+TEST_F(AncestorClimbTest, SearchDeniedBetweenMemoAndLeafMatchesBaseline) {
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));
+  // Others lose search permission on d5, below the memoized d4. Root (who
+  // keeps it through the owner bit) re-publishes the leaf in the DLHT.
+  ASSERT_OK(world_.root->Chmod("/d1/d2/d3/d4/d5", 0754));
+  ASSERT_OK(world_.root->Statx(kAtFdCwd, kLeaf, 0));
+  ASSERT_OK(world_.root->Statx(kAtFdCwd, kLeaf, 0));
+  MemoizeOnly(*alice_, {"/d1/d2/d3/d4"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  const uint64_t dlht_hits = S().dlht_hits.value();
+  EXPECT_ERR(alice_->Statx(kAtFdCwd, kLeaf, 0), Errno::kEACCES);
+  EXPECT_GT(S().dlht_hits.value(), dlht_hits);  // the climb did run
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+
+  TestWorld baseline(CacheConfig::Baseline());
+  BuildTree(baseline);
+  TaskPtr alice = baseline.UserTask(1000, 1000);
+  ASSERT_OK(alice->Statx(kAtFdCwd, kLeaf, 0));
+  ASSERT_OK(baseline.root->Chmod("/d1/d2/d3/d4/d5", 0754));
+  EXPECT_ERR(alice->Statx(kAtFdCwd, kLeaf, 0), Errno::kEACCES);
+}
+
+TEST_F(AncestorClimbTest, TrailingSymlinkTargetClimbs) {
+  ASSERT_OK(world_.root->Symlink(kLeaf, "/sl"));
+  ASSERT_OK(alice_->Statx(kAtFdCwd, "/sl", 0));  // memoizes the target sig
+  MemoizeOnly(*alice_, {"/sl", "/d1/d2/d3/d4"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  ASSERT_OK(FastStatx(*alice_, "/sl"));
+  EXPECT_EQ(S().fastpath_hits.value(), hits + 1);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs + 1);
+}
+
+TEST_F(AncestorClimbTest, DotDotProbeClimbs) {
+  const char* kDotDot = "/d1/d2/d3/d4/d5/../d5/leaf";
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kDotDot, 0));
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));
+  MemoizeOnly(*alice_, {"/d1/d2/d3"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  ASSERT_OK(FastStatx(*alice_, kDotDot));
+  EXPECT_EQ(S().fastpath_hits.value(), hits + 1);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs + 2);  // d5 on "..", then leaf
+}
+
+TEST_F(AncestorClimbTest, AliasStopsTheClimbButItsTargetMayClimb) {
+  ASSERT_OK(world_.root->Symlink("/d1/d2/d3", "/al"));
+  const char* kAlias = "/al/d4/d5/leaf";
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kAlias, 0));  // builds the alias chain
+  ASSERT_TRUE(Cached(kAlias)->TestFlags(kDentAlias));
+  // The alias's own memo is gone; its parent alias and its target keep
+  // theirs. Alias paths are never climbed: slowpath.
+  MemoizeOnly(*alice_, {"/al/d4/d5", kLeaf});
+  uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  EXPECT_OK(alice_->Statx(kAtFdCwd, kAlias, 0));
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+  // With the alias's memo, the target's evicted memo is proven by a climb.
+  MemoizeOnly(*alice_, {kAlias, "/d1/d2/d3/d4"});
+  hits = S().fastpath_hits.value();
+  ASSERT_OK(FastStatx(*alice_, kAlias));
+  EXPECT_EQ(S().fastpath_hits.value(), hits + 1);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs + 1);
+}
+
+TEST_F(AncestorClimbTest, ClimbStopsAtTheRootOfTheLeafsMount) {
+  Task& root = *world_.root;
+  // /d1/d2 bound at /locked/view: the bound tree's paths need search
+  // permission on /locked, which alice lacks, and never pass through d1.
+  ASSERT_OK(root.Mkdir("/locked"));
+  ASSERT_OK(root.Chmod("/locked", 0700));
+  ASSERT_OK(root.Mkdir("/locked/view"));
+  ASSERT_OK(root.BindMount("/d1/d2", "/locked/view"));
+  const char* kBound = "/locked/view/d3/d4/d5/leaf";
+  ASSERT_OK(alice_->Statx(kAtFdCwd, "/d1", 0));
+  ASSERT_OK(root.Statx(kAtFdCwd, kBound, 0));  // the leaf's DLHT path
+  ASSERT_OK(root.Statx(kAtFdCwd, kBound, 0));
+  MemoizeOnly(*alice_, {"/", "/d1"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  EXPECT_ERR(alice_->Statx(kAtFdCwd, kBound, 0), Errno::kEACCES);
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+  // The plain path is the same dentries and still resolves.
+  EXPECT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));
+}
+
+TEST_F(AncestorClimbTest, ClimbStopsAtACoveredMountpoint) {
+  Task& root = *world_.root;
+  auto dfd = alice_->Open("/d1/d2/d3", kORead | kODirectory);
+  ASSERT_OK(dfd);
+  ASSERT_OK(root.Mount("/d1/d2/d3", std::make_shared<MemFs>()));
+  // Through the descriptor opened before the mount, the covered tree is
+  // still reachable (and gets published again under its old path).
+  ASSERT_OK(alice_->Statx(*dfd, "d4/d5/leaf", 0));
+  ASSERT_OK(alice_->Statx(*dfd, "d4/d5/leaf", 0));
+  MemoizeOnly(*alice_, {"/d1/d2"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  EXPECT_ERR(alice_->Statx(kAtFdCwd, kLeaf, 0), Errno::kENOENT);
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+  ASSERT_OK(alice_->Close(*dfd));
+}
+
+TEST_F(AncestorClimbTest, ClimbStopsAtANegativeAncestor) {
+  const char* kDeep = "/d1/d2/gone/x/y/z";
+  EXPECT_ERR(alice_->Statx(kAtFdCwd, kDeep, 0), Errno::kENOENT);
+  ASSERT_TRUE(Cached(kDeep)->IsNegative());
+  MemoizeOnly(*alice_, {"/d1/d2"});
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  EXPECT_ERR(alice_->Statx(kAtFdCwd, kDeep, 0), Errno::kENOENT);
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+}
+
+TEST_F(AncestorClimbTest, ClimbStopsAtADeadAncestor) {
+  ASSERT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));
+  MemoizeOnly(*alice_, {"/d1/d2/d3/d4"});
+  // Kill d5 alone, as an eviction would (d4 stops being complete): its
+  // cached child stays in the DLHT with an unchanged seq, the state a
+  // lookup racing the teardown of the tree can observe.
+  DentryCache& dc = world_.kernel->dcache();
+  Dentry* d5 = Cached("/d1/d2/d3/d4/d5");
+  Cached("/d1/d2/d3/d4")->ClearFlags(kDentDirComplete);
+  dc.Kill(d5);
+  const uint64_t hits = S().fastpath_hits.value();
+  const uint64_t climbs = S().pcc_climbs.value();
+  EXPECT_OK(alice_->Statx(kAtFdCwd, kLeaf, 0));  // slowpath re-reads d5
+  EXPECT_EQ(S().fastpath_hits.value(), hits);
+  EXPECT_EQ(S().pcc_climbs.value(), climbs);
+  dc.KillCachedChildren(d5);  // releases the orphaned leaf, then d5
 }
 
 }  // namespace
