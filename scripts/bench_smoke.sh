@@ -64,7 +64,7 @@ echo "== eviction storm / elastic resize =="
 
 echo "== microbench (quick) =="
 "$BUILD_DIR/bench/microbench" \
-  --benchmark_filter='BM_(Stat8Comp|Stat1Comp|OpenClose)' \
+  --benchmark_filter='BM_(Stat8Comp|Stat1Comp|OpenClose|ReaddirCold)' \
   --benchmark_min_time=0.05 \
   --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 
@@ -152,6 +152,12 @@ for b in governed:
     sw = b["shared_writes_per_op"]
     assert sw < 1e-3, f"{b['name']}: shared_writes_per_op {sw} != 0"
     assert b["governor_ticks"] > 0, f"{b['name']}: governor never ticked"
+
+# Cold cached-readdir layer metric: reported, not gated.
+cold = [b for b in micro["benchmarks"] if b["name"].startswith("BM_ReaddirCold")]
+assert cold, "BM_ReaddirCold missing from BENCH_micro.json"
+for b in cold:
+    assert "ns_per_entry" in b, f"{b['name']}: no ns_per_entry counter"
 
 # Tracing-overhead verdict (schema v3): the traced warm stat loop (1-in-100
 # sampling) vs the identical obs-only loop. The untraced 99% must keep the

@@ -50,18 +50,18 @@ const char* DentName(const Dentry* d) {
 
 struct Auditor {
   AuditReport report;
-  // Every dentry reached by the children-list traversal from mount roots,
-  // mapped to the dentry whose children list holds it (null for a mount
-  // root not met on any list), so the hash-chain pass checks membership
-  // without rescanning the parent's list.
+  // Every dentry reached by the child-array traversal from mount roots,
+  // mapped to the dentry whose array holds it (null for a mount root not
+  // met on any array), so the hash-chain pass settles membership from the
+  // tree walk where it can.
   std::unordered_map<const Dentry*, const Dentry*> reachable;
 
   void Violate(AuditCheck check, std::string detail) {
     report.violations.push_back({check, std::move(detail)});
   }
 
-  // DFS over the children lists from `root`, checking parent back-pointers,
-  // liveness, and acyclicity. Bind mounts share dentries, so re-reaching an
+  // DFS over the child arrays from `root`, checking slots, sides, parent
+  // back-pointers, liveness, and acyclicity. Bind mounts share dentries, so re-reaching an
   // already-visited subtree through another mount is legal; a cycle within
   // one DFS path is not.
   void WalkTree(Dentry* root) {
@@ -73,13 +73,13 @@ struct Auditor {
                     std::unordered_set<const Dentry*>* on_path) {
     if (depth > kMaxParentDepth) {
       Violate(AuditCheck::kTreeStructure,
-              Format("children-list depth exceeds %zu below dentry %p '%s'",
+              Format("child-array depth exceeds %zu below dentry %p '%s'",
                      kMaxParentDepth, static_cast<void*>(d), DentName(d)));
       return;
     }
     if (!on_path->insert(d).second) {
       Violate(AuditCheck::kTreeStructure,
-              Format("children-list cycle through dentry %p '%s'",
+              Format("child-array cycle through dentry %p '%s'",
                      static_cast<void*>(d), DentName(d)));
       return;
     }
@@ -92,40 +92,9 @@ struct Auditor {
     std::vector<Dentry*> children;
     {
       SpinGuard guard(d->lock);
-      // Every positive or stub child precedes every negative or alias child
-      // (DentryCache::AddChild/MoveDentry); cached readdir stops at the
-      // first of those.
-      const Dentry* first_tail = nullptr;
-      for (Dentry* child : d->children) {
-        if (child->TestFlags(kDentNegative | kDentAlias)) {
-          if (first_tail == nullptr) {
-            first_tail = child;
-          }
-        } else if (first_tail != nullptr) {
-          Violate(AuditCheck::kTreeStructure,
-                  Format("positive dentry %p '%s' follows negative/alias "
-                         "%p '%s' on children list of %p '%s'",
-                         static_cast<void*>(child), DentName(child),
-                         static_cast<const void*>(first_tail),
-                         DentName(first_tail), static_cast<void*>(d),
-                         DentName(d)));
-        }
-        if (child->parent() != d) {
-          Violate(AuditCheck::kTreeStructure,
-                  Format("dentry %p '%s' on children list of %p '%s' but its "
-                         "parent pointer is %p",
-                         static_cast<void*>(child), DentName(child),
-                         static_cast<void*>(d), DentName(d),
-                         static_cast<void*>(child->parent())));
-        }
-        if (child->IsDead()) {
-          Violate(AuditCheck::kTreeStructure,
-                  Format("dead dentry %p '%s' still on children list of "
-                         "%p '%s'",
-                         static_cast<void*>(child), DentName(child),
-                         static_cast<void*>(d), DentName(d)));
-        }
-        children.push_back(child);
+      if (const ChildArray* kids = d->children()) {
+        CheckSide(d, kids->listed(), /*tail=*/false, &children);
+        CheckSide(d, kids->tail(), /*tail=*/true, &children);
       }
     }
     // Recurse outside the parent's lock (quiescence makes the two-phase
@@ -135,6 +104,51 @@ struct Auditor {
       WalkTreeFrom(child, d, depth + 1, on_path);
     }
     on_path->erase(d);
+  }
+
+  // One side of `dir`'s child array (caller holds dir->lock): each child's
+  // slot names its own index and this side, the side matches its flags,
+  // its parent pointer names `dir`, and it is alive. Appends the children
+  // to `out` for the recursion.
+  void CheckSide(Dentry* dir, const std::vector<Dentry*>& side, bool tail,
+                 std::vector<Dentry*>* out) {
+    for (size_t i = 0; i < side.size(); ++i) {
+      Dentry* child = side[i];
+      const uint32_t want =
+          static_cast<uint32_t>(i) | (tail ? ChildArray::kTailBit : 0u);
+      if (child->child_slot != want) {
+        Violate(AuditCheck::kTreeStructure,
+                Format("dentry %p '%s' at %s[%zu] of %p '%s' records "
+                       "child_slot %#x",
+                       static_cast<void*>(child), DentName(child),
+                       tail ? "tail" : "listed", i, static_cast<void*>(dir),
+                       DentName(dir), child->child_slot));
+      }
+      if (ChildArray::OnTail(child->flags()) != tail) {
+        Violate(AuditCheck::kTreeStructure,
+                Format("%s dentry %p '%s' on the %s side of %p '%s'",
+                       tail ? "positive/stub" : "negative/alias",
+                       static_cast<void*>(child), DentName(child),
+                       tail ? "tail" : "listed", static_cast<void*>(dir),
+                       DentName(dir)));
+      }
+      if (child->parent() != dir) {
+        Violate(AuditCheck::kTreeStructure,
+                Format("dentry %p '%s' in the child array of %p '%s' but "
+                       "its parent pointer is %p",
+                       static_cast<void*>(child), DentName(child),
+                       static_cast<void*>(dir), DentName(dir),
+                       static_cast<void*>(child->parent())));
+      }
+      if (child->IsDead()) {
+        Violate(AuditCheck::kTreeStructure,
+                Format("dead dentry %p '%s' still in the child array of "
+                       "%p '%s'",
+                       static_cast<void*>(child), DentName(child),
+                       static_cast<void*>(dir), DentName(dir)));
+      }
+      out->push_back(child);
+    }
   }
 
   void CheckDlhtEntry(FastDentry* fd, Dlht* table, uint64_t ns_id) {
@@ -237,7 +251,7 @@ AuditReport RunAudit(Kernel& kernel, const std::vector<const Pcc*>& pccs) {
   }
 
   // 2. Primary hash chains: liveness, key/bucket placement, and membership
-  // in the parent's children list.
+  // in the parent's child array.
   for (size_t i = 0; i < dc.buckets_.size(); ++i) {
     DentryCache::HBucket& bucket = dc.buckets_[i];
     SpinGuard guard(bucket.lock);
@@ -277,26 +291,22 @@ AuditReport RunAudit(Kernel& kernel, const std::vector<const Pcc*>& pccs) {
                          "KeyFor(parent, name) — stale after a move?",
                          static_cast<void*>(d), DentName(d)));
       }
-      // A dentry sits on one children list at most, so the one the tree
-      // walk found it on settles membership; only dentries the walk never
-      // reached need the scan.
+      // A dentry sits in one child array at most, so the one the tree walk
+      // found it in settles membership; a dentry the walk never reached is
+      // looked up through its slot.
       bool on_children = false;
       auto listed = a.reachable.find(d);
       if (listed != a.reachable.end() && listed->second != nullptr) {
         on_children = listed->second == parent;
       } else {
         SpinGuard pguard(parent->lock);
-        for (Dentry* child : parent->children) {
-          if (child == d) {
-            on_children = true;
-            break;
-          }
-        }
+        const ChildArray* kids = parent->children();
+        on_children = kids != nullptr && kids->Holds(d);
       }
       if (!on_children) {
         a.Violate(AuditCheck::kHashChain,
                   Format("hashed dentry %p '%s' missing from parent %p "
-                         "'%s''s children list",
+                         "'%s''s child array",
                          static_cast<void*>(d), DentName(d),
                          static_cast<void*>(parent), DentName(parent)));
       }

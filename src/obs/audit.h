@@ -38,12 +38,13 @@ enum class AuditCheck : uint8_t {
   kLruConsistency,
   // Every primary-hash-chain dentry is alive, hashed under the key its
   // (parent, name) identity demands, in the right bucket, and present in
-  // its parent's children list.
+  // its parent's child array.
   kHashChain,
-  // Parent/child sibling-list consistency: children lists are acyclic,
-  // contain no dead dentries, keep every positive or stub child before
-  // every negative or alias child, and every child's parent back-pointer
-  // names the list owner.
+  // Parent/child consistency: child arrays are acyclic, contain no dead
+  // dentries, every child's child_slot names the index and side it sits
+  // at, the side matches its flags (positives and stubs listed, negatives
+  // and aliases on the tail), and its parent back-pointer names the array
+  // owner.
   kTreeStructure,
   // At quiescence, a live unreferenced reachable dentry must be parked on
   // the LRU (otherwise it can never be evicted — a leak).
@@ -84,7 +85,7 @@ struct AuditReport {
 
   // Coverage counts, so "zero violations" is distinguishable from "checked
   // nothing".
-  uint64_t dentries_visited = 0;  // reachable via children-list traversal
+  uint64_t dentries_visited = 0;  // reachable via child-array traversal
   uint64_t dlht_entries = 0;
   uint64_t lru_entries = 0;
   uint64_t hash_chain_entries = 0;

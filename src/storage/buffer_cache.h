@@ -25,6 +25,10 @@ struct Buffer {
   uint64_t block_no = 0;
   Block data{};
   bool dirty = false;
+  // The block's checksum was verified since it was read from the device
+  // (ext4's buffer_verified). Fresh buffers start clear; the file system
+  // sets it and reads it under its own lock.
+  bool verified = false;
   uint32_t pins = 0;
   ListNode lru;
 };
@@ -49,6 +53,9 @@ class BufferRef {
 
   // Mark the block dirty; it will be written back on eviction or Sync().
   void MarkDirty();
+
+  bool verified() const { return buf_->verified; }
+  void MarkVerified() { buf_->verified = true; }
 
  private:
   BufferCache* cache_ = nullptr;

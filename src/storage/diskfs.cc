@@ -21,7 +21,8 @@ constexpr size_t kDirentHeaderLen = 12;
 constexpr size_t kBitsPerBlock = kBlockSize * 8;
 // Directory blocks end with an ext4_dir_entry_tail-style checksum trailer
 // (metadata_csum): 4 bytes of CRC32C over the block body + a magic word.
-// It is recomputed on every modification and verified on every scan.
+// It is recomputed on every modification and verified once per buffer
+// fill (DirBlockOk).
 constexpr size_t kDirTailLen = 8;
 constexpr size_t kDirDataLen = kBlockSize - kDirTailLen;
 constexpr uint32_t kDirTailMagic = 0xde200de2u;
@@ -41,6 +42,21 @@ bool VerifyDirTail(const uint8_t* block) {
   uint32_t stored;
   std::memcpy(&stored, block + kDirDataLen, 4);
   return stored == Crc32c(0, block, kDirDataLen);
+}
+
+// A directory scan's checksum gate, as ext4 applies it: the first scan of
+// a block read from the device verifies it and sets the buffer's verified
+// bit; later scans of the same buffer trust it. Our own modifications
+// re-seal the block with WriteDirTail, so a modified block stays valid.
+bool DirBlockOk(BufferRef& buf) {
+  if (buf.verified()) {
+    return true;
+  }
+  if (!VerifyDirTail(buf.data())) {
+    return false;
+  }
+  buf.MarkVerified();
+  return true;
 }
 
 // On-disk dirent record header (ext2 style): a u64 inode number (0 = free
@@ -396,10 +412,10 @@ Result<InodeNum> DiskFs::DirFind(const RawInode& dir_node,
     if (!buf.ok()) {
       return buf.error();
     }
-    const uint8_t* p = buf->data();
-    if (!VerifyDirTail(p)) {
+    if (!DirBlockOk(*buf)) {
       return Errno::kEIO;
     }
+    const uint8_t* p = buf->data();
     size_t pos = 0;
     while (pos + kDirentHeaderLen <= kDirDataLen) {
       RawDirent d;
@@ -550,10 +566,10 @@ Result<bool> DiskFs::DirIsEmpty(const RawInode& dir_node) {
     if (!buf.ok()) {
       return buf.error();
     }
-    const uint8_t* p = buf->data();
-    if (!VerifyDirTail(p)) {
+    if (!DirBlockOk(*buf)) {
       return Errno::kEIO;
     }
+    const uint8_t* p = buf->data();
     size_t pos = 0;
     while (pos + kDirentHeaderLen <= kDirDataLen) {
       RawDirent d;
@@ -1024,11 +1040,11 @@ Result<ReadDirResult> DiskFs::ReadDir(InodeNum dir, uint64_t offset,
     if (!buf.ok()) {
       return buf.error();
     }
-    const uint8_t* p = buf->data();
     // metadata_csum: verify the block before emitting anything from it.
-    if (!VerifyDirTail(p)) {
+    if (!DirBlockOk(*buf)) {
       return Errno::kEIO;
     }
+    const uint8_t* p = buf->data();
     if (htree) {
       // Collect this leaf's live records into the hash-ordered tree.
       std::multimap<uint64_t, size_t> ordered;  // name hash -> record pos

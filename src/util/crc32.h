@@ -2,8 +2,9 @@
 //
 // DiskFs mirrors ext4's metadata_csum feature: every directory block
 // carries a checksum tail that is recomputed on modification and verified
-// on every scan — a real, measurable component of directory operation cost
-// on modern ext4.
+// when the block is first scanned after being read from the device (ext4
+// then sets buffer_verified and skips the check on later scans) — a real,
+// measurable component of directory operation cost on modern ext4.
 #ifndef DIRCACHE_UTIL_CRC32_H_
 #define DIRCACHE_UTIL_CRC32_H_
 

@@ -101,14 +101,16 @@ Result<Dentry*> DentryCache::AddChild(Dentry* parent, std::string_view name,
   }
   Dentry* fresh = nullptr;
   if ((flags & kDentAlias) != 0) {
-    // Aliases are invisible to the primary hash; dedupe via the children
-    // list instead.
-    for (Dentry* child : parent->children) {
-      if (child->TestFlags(kDentAlias) && child->name() == name &&
-          child->DgetLive()) {
-        parent_guard.Release();
-        drop_inputs();
-        return child;
+    // Aliases are invisible to the primary hash; dedupe via the tail of
+    // the child array instead.
+    if (const ChildArray* kids = parent->children()) {
+      for (Dentry* child : kids->tail()) {
+        if (child->TestFlags(kDentAlias) && child->name() == name &&
+            child->DgetLive()) {
+          parent_guard.Release();
+          drop_inputs();
+          return child;
+        }
       }
     }
     fresh = new Dentry(parent->sb(), parent, std::string(name), inode, flags);
@@ -134,18 +136,14 @@ Result<Dentry*> DentryCache::AddChild(Dentry* parent, std::string_view name,
     fresh = new Dentry(parent->sb(), parent, std::string(name), inode, flags);
     fresh->tenant = tenant;
     fresh->hash_key = key;
-    fresh->stub_ino = stub_ino;
-    fresh->stub_type = stub_type;
+    if ((flags & kDentStub) != 0) {
+      fresh->d_ino = stub_ino;
+      fresh->d_type = stub_type;
+    }
     fresh->fast.seq.store(NewVersion(), std::memory_order_release);
     bucket.chain.PushFront(&fresh->hash_node);
   }
-  // Child-list order (§5.1): positives and stubs at the front, negatives
-  // and aliases at the back, so a cached readdir stops at the first one.
-  if ((flags & (kDentNegative | kDentAlias)) != 0) {
-    parent->children.PushBack(fresh);
-  } else {
-    parent->children.PushFront(fresh);
-  }
+  parent->EnsureChildren().Add(fresh);
   parent_guard.Release();
   count_.fetch_add(1, std::memory_order_relaxed);
   ChargeTenant(tenant, (flags & kDentNegative) != 0, +1);
@@ -224,11 +222,22 @@ void DentryCache::Release(Dentry* d) {
   }
 }
 
-void DentryCache::Kill(Dentry* d) {
-  Dentry* parent = d->parent();
-  if (parent != nullptr) {
+Dentry* DentryCache::LockParent(Dentry* d) {
+  while (true) {
+    Dentry* parent = d->parent();
+    if (parent == nullptr) {
+      return nullptr;
+    }
     parent->lock.lock();
+    if (d->parent() == parent) {
+      return parent;
+    }
+    parent->lock.unlock();
   }
+}
+
+void DentryCache::Kill(Dentry* d) {
+  Dentry* parent = LockParent(d);
   d->lock.lock();
   if (d->IsDead()) {
     d->lock.unlock();
@@ -243,8 +252,8 @@ void DentryCache::Kill(Dentry* d) {
     SpinGuard guard(bucket.lock);
     bucket.chain.Remove(&d->hash_node);
   }
-  if (d->child_node.linked()) {
-    d->child_node.Unlink();
+  if (d->child_slot != ChildArray::kNoSlot) {
+    parent->children()->Remove(d);
   }
   bool release = d->MarkDead();
   d->lock.unlock();
@@ -260,8 +269,8 @@ void DentryCache::KillCachedChildren(Dentry* dir) {
   std::vector<Dentry*> children;
   {
     SpinGuard guard(dir->lock);
-    for (Dentry* child : dir->children) {
-      children.push_back(child);
+    if (const ChildArray* kids = dir->children()) {
+      kids->ForEach([&](Dentry* child) { children.push_back(child); });
     }
   }
   for (Dentry* child : children) {
@@ -288,8 +297,8 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
     SpinGuard guard(bucket.lock);
     bucket.chain.Remove(&d->hash_node);
   }
-  if (d->child_node.linked()) {
-    d->child_node.Unlink();
+  if (d->child_slot != ChildArray::kNoSlot) {
+    old_parent->children()->Remove(d);
   }
 
   new_parent->DgetHeld();
@@ -301,7 +310,7 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
     SpinGuard guard(bucket.lock);
     bucket.chain.PushFront(&d->hash_node);
   }
-  new_parent->children.PushFront(d);  // rename moves positives only
+  new_parent->EnsureChildren().Add(d);
 
   d->lock.unlock();
   if (second != first) {
@@ -363,10 +372,7 @@ size_t DentryCache::ShrinkInternal(size_t max, bool second_chance) {
 }
 
 bool DentryCache::EvictOne(Dentry* d) {
-  Dentry* parent = d->parent();
-  if (parent != nullptr) {
-    parent->lock.lock();
-  }
+  Dentry* parent = LockParent(d);
   d->lock.lock();
   // Children, mounts, open files, and tasks all hold references, so a
   // successful freeze (count 0 -> dead) proves the dentry is an unused
@@ -384,8 +390,8 @@ bool DentryCache::EvictOne(Dentry* d) {
     SpinGuard guard(bucket.lock);
     bucket.chain.Remove(&d->hash_node);
   }
-  if (d->child_node.linked()) {
-    d->child_node.Unlink();
+  if (d->child_slot != ChildArray::kNoSlot) {
+    parent->children()->Remove(d);
   }
   if (parent != nullptr) {
     // Losing a cached child for space reasons invalidates directory

@@ -60,8 +60,10 @@ class DentryCache {
   // reference, which the alias dentry adopts.
   // `tenant` is the credential uid the new dentry is charged to (DESIGN.md
   // §15 per-tenant accounting); pass the acting task's uid.
-  // Negatives and aliases join the back of the parent's children list and
-  // everything else the front (the ordering invariant, DESIGN.md §16).
+  // The child joins the parent's ChildArray: negatives and aliases its
+  // tail, everything else the listed side (DESIGN.md §16). A positive
+  // records its inode's number and type in d_ino/d_type, a stub
+  // `stub_ino`/`stub_type`.
   Result<Dentry*> AddChild(Dentry* parent, std::string_view name,
                            Inode* inode, uint32_t flags, uint32_t tenant,
                            InodeNum stub_ino = 0,
@@ -188,10 +190,11 @@ class DentryCache {
   static constexpr uint32_t kTenantOverflow = 0xffffffffu;
   std::vector<TenantUsage> TenantUsages() const;
 
-  // The governor's per-dentry byte cost: the object itself plus an
-  // allowance for the name string, hash-chain membership, and children-list
-  // links. Policy-grade, not an allocator-exact figure.
-  static constexpr size_t kApproxDentryBytes = sizeof(Dentry) + 48;
+  // The governor's per-dentry byte cost: the object itself, an allowance
+  // for the name string and hash-chain membership, and its slot in the
+  // parent's ChildArray. Policy-grade, not an allocator-exact figure.
+  static constexpr size_t kApproxDentryBytes =
+      sizeof(Dentry) + 48 + sizeof(Dentry*);
 
  private:
   // The invariant auditor cross-checks the hash chains, LRU, and counters
@@ -241,8 +244,13 @@ class DentryCache {
   // Shared implementation of Shrink/ShrinkAll; `second_chance` toggles
   // whether referenced entries get rotated back or evicted outright.
   size_t ShrinkInternal(size_t max, bool second_chance);
+  // Lock and return d's parent (null for a root), re-reading the pointer
+  // until the locked dentry is still d's parent: MoveDentry changes it
+  // under both parents' locks, so once held it stays put, and d's
+  // child_slot indexes that parent's array.
+  Dentry* LockParent(Dentry* d);
   // Tear down one dentry already popped off the LRU: freeze, unhash from
-  // the DLHT/primary table/children list, invalidate the parent's
+  // the DLHT/primary table/child array, invalidate the parent's
   // completeness, release. Returns false if the dentry was busy (it
   // re-enters the LRU at its next idle moment).
   bool EvictOne(Dentry* d);

@@ -1,5 +1,7 @@
 #include "src/vfs/dentry.h"
 
+#include <cassert>
+
 #include "src/util/epoch.h"
 
 namespace dircache {
@@ -7,16 +9,22 @@ namespace dircache {
 Dentry::Dentry(SuperBlock* sb, Dentry* parent, std::string name, Inode* inode,
                uint32_t initial_flags)
     : sb_(sb),
-      name_(new std::string(std::move(name))),
       parent_(parent),
       inode_(inode),
-      flags_(initial_flags) {
+      flags_(initial_flags),
+      name_(new std::string(std::move(name))) {
+  if (inode != nullptr) {
+    d_ino = inode->ino();
+    d_type = inode->type();
+  }
   if (parent != nullptr) {
     parent->DgetHeld();
   }
 }
 
 Dentry::~Dentry() {
+  // Every child holds a reference on its parent, so none is left here.
+  assert(children_ == nullptr || children_->size() == 0);
   delete name_.load(std::memory_order_relaxed);
 }
 

@@ -137,18 +137,21 @@ void InvalidationEngine::VisitOne(Dentry* d, uint64_t gen, VisitCtx* ctx,
       // re-insert under a new signature cannot corrupt anything.
       BatchAdd(ctx, table, Dlht::BucketKeyFor(d->fast.signature), &d->fast);
     }
-    for (Dentry* child : d->children) {
-      // Claim-at-push: the generation exchange guarantees each dentry is
-      // queued at most once per pass, even when mount aliases make the
-      // traversal graph cyclic.
-      if (child->inval_gen.exchange(gen, std::memory_order_acq_rel) != gen) {
-        if (slot != nullptr) {
-          PushTo(slot, child);
-        } else {
-          child->inval_next.store(*serial_top, std::memory_order_relaxed);
-          *serial_top = child;
+    if (const ChildArray* kids = d->children()) {
+      kids->ForEach([&](Dentry* child) {
+        // Claim-at-push: the generation exchange guarantees each dentry is
+        // queued at most once per pass, even when mount aliases make the
+        // traversal graph cyclic.
+        if (child->inval_gen.exchange(gen, std::memory_order_acq_rel) !=
+            gen) {
+          if (slot != nullptr) {
+            PushTo(slot, child);
+          } else {
+            child->inval_next.store(*serial_top, std::memory_order_relaxed);
+            *serial_top = child;
+          }
         }
-      }
+      });
     }
   }
   // Prefix checks span mount boundaries: everything cached under a mount

@@ -1530,26 +1530,47 @@ void PutDirEntry(std::vector<DirEntry>* out, size_t i, std::string_view name,
   }
 }
 
+// Prefetch distance of the cached readdir scan, in entries: the dentry is
+// fetched kListedPrefetch entries ahead, its name string object half as
+// far ahead and the name bytes a quarter as far, so each dependent load
+// finds its line already on the way.
+constexpr size_t kListedPrefetch = 16;
+
 // Calls fn(name, ino, type) for each positive or stub child of a
-// DIR_COMPLETE directory. Every positive and stub child precedes every
-// negative and alias child (DentryCache::AddChild/MoveDentry), so the scan
-// stops at the first of those. Kill and eviction mark a child dead and
-// unlink it within one hold of dir->lock, so no dead child is met here.
+// DIR_COMPLETE directory: the listed side of its ChildArray, a contiguous
+// array the scan prefetches ahead along. With `require_complete`, returns
+// false, calling nothing, when the directory is no longer DIR_COMPLETE:
+// eviction clears the flag under dir->lock, so checking it here, not only
+// when the stream chose the cached mode, keeps a fresh listing from
+// missing an evicted child. Kill and eviction mark a child dead and remove
+// it within one hold of dir->lock, so no dead child is met here.
 template <typename Fn>
-void ForEachListedChild(Dentry* dir, Fn&& fn) {
+bool ForEachListedChild(Dentry* dir, bool require_complete, Fn&& fn) {
   EpochDomain::ReadGuard eguard(EpochDomain::Global());
   SpinGuard guard(dir->lock);
-  for (Dentry* child : dir->children) {
-    const uint32_t flags = child->flags();
-    if ((flags & (kDentNegative | kDentAlias)) != 0) {
-      break;
-    }
-    if ((flags & kDentStub) != 0) {
-      fn(child->name(), child->stub_ino, child->stub_type);
-    } else if (Inode* ci = child->inode()) {
-      fn(child->name(), ci->ino(), ci->type());
-    }
+  if (require_complete && !dir->TestFlags(kDentDirComplete)) {
+    return false;
   }
+  const ChildArray* kids = dir->children();
+  if (kids == nullptr) {
+    return true;
+  }
+  Dentry* const* slot = kids->listed().data();
+  const size_t n = kids->listed().size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kListedPrefetch < n) {
+      slot[i + kListedPrefetch]->PrefetchListingFields();
+    }
+    if (i + kListedPrefetch / 2 < n) {
+      __builtin_prefetch(&slot[i + kListedPrefetch / 2]->name());
+    }
+    if (i + kListedPrefetch / 4 < n) {
+      __builtin_prefetch(slot[i + kListedPrefetch / 4]->name().data());
+    }
+    const Dentry* child = slot[i];
+    fn(child->name(), child->d_ino, child->d_type);
+  }
+  return true;
 }
 
 }  // namespace
@@ -1580,39 +1601,58 @@ Result<size_t> Task::DoReadDir(FdNum fd, size_t max_entries,
     }
   }
 
-  if (file->scan_uses_cache) {
+  // A cache-served scan is a use of the directory: arm its second-chance
+  // bit so the clock eviction keeps hot readdir targets resident.
+  auto note_cached_scan = [&] {
     kernel_->stats().readdir_cached.Add();
-    // A cache-served scan is a use of the directory: arm its second-chance
-    // bit so the clock eviction keeps hot readdir targets resident.
     if (dir->MarkReferenced()) {
       kernel_->stats().shared_writes.Add();
     }
+  };
+  if (file->scan_uses_cache && !file->have_snapshot &&
+      file->dir_offset == 0) {
+    // A fresh stream fills the caller's vector straight from the child
+    // array. Only a listing that overflows max_entries keeps a snapshot
+    // (every entry, the returned ones included) for the rest of the
+    // stream (getdents snapshot semantics).
     size_t n = 0;
-    if (!file->have_snapshot && file->dir_offset == 0) {
-      // A fresh stream fills the caller's vector straight from the child
-      // list. Only a listing that overflows max_entries keeps a snapshot
-      // (every entry, the returned ones included) for the rest of the
-      // stream (getdents snapshot semantics).
-      ForEachListedChild(
-          dir, [&](std::string_view name, InodeNum ino, FileType type) {
-            if (n < max_entries) {
-              PutDirEntry(out, n++, name, ino, type);
-              return;
-            }
-            if (!file->have_snapshot) {
-              file->snapshot.assign(out->begin(), out->begin() + n);
-              file->have_snapshot = true;
-            }
-            file->snapshot.push_back(DirEntry{std::string(name), ino, type});
-          });
+    const bool complete = ForEachListedChild(
+        dir, /*require_complete=*/true,
+        [&](std::string_view name, InodeNum ino, FileType type) {
+          if (n < max_entries) {
+            PutDirEntry(out, n++, name, ino, type);
+            return;
+          }
+          if (!file->have_snapshot) {
+            file->snapshot.assign(out->begin(), out->begin() + n);
+            file->have_snapshot = true;
+          }
+          file->snapshot.push_back(DirEntry{std::string(name), ino, type});
+        });
+    if (complete) {
+      note_cached_scan();
       file->dir_offset = file->have_snapshot ? n : kCachedListingReturned;
       out->resize(n);
       return n;
     }
+    // A child was evicted since the mode was decided, so the array no
+    // longer holds the whole directory: this stream reads the FS instead.
+    file->scan_uses_cache = false;
+    file->scan_evict_gen = dir->child_evict_gen.load(std::memory_order_acquire);
+    file->scan_from_zero = true;
+  }
+
+  if (file->scan_uses_cache) {
+    note_cached_scan();
+    size_t n = 0;
     if (!file->have_snapshot && file->dir_offset != kCachedListingReturned) {
-      // A seek into a stream that kept no snapshot: list again.
+      // A seek into a stream that kept no snapshot: list the cached
+      // children again. The seek offset indexes the cached listing, which
+      // has no FS offset to resume at, so a child evicted since the stream
+      // began is missing from this re-listing; the remaining ones are not.
       ForEachListedChild(
-          dir, [&](std::string_view name, InodeNum ino, FileType type) {
+          dir, /*require_complete=*/false,
+          [&](std::string_view name, InodeNum ino, FileType type) {
             file->snapshot.push_back(DirEntry{std::string(name), ino, type});
           });
       file->have_snapshot = true;

@@ -1469,7 +1469,7 @@ Status MaterializeStub(Task& task, Dentry* stub) {
     return Status::Ok();
   }
   IoChargeScope charge(&task.io_clock());
-  auto inode = stub->sb()->Iget(stub->stub_ino);
+  auto inode = stub->sb()->Iget(stub->d_ino);
   if (!inode.ok()) {
     return inode.error() == Errno::kESTALE ? Errno::kENOENT : inode.error();
   }

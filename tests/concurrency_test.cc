@@ -3,7 +3,9 @@
 // result that was not true at some point during the race window.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -643,6 +645,138 @@ TEST_P(ConcurrencyTest, MutatorStormOnLargeCachedSubtrees) {
                            "/f" + std::to_string(f), 0));
     }
   }
+}
+
+// Cached readdir against the two writers of a directory's child array:
+// create/unlink (add a positive, swap-remove it, add a negative) and the
+// governor's eviction call (Shrink under the tree write lock), which
+// swap-removes idle children and drops DIR_COMPLETE until a full FS scan
+// restores it. Every swap-remove rewrites a sibling's slot while readers
+// list the same array.
+TEST_P(ConcurrencyTest, CachedReaddirRacesShrinkAndCreateUnlink) {
+  Task& t = *world_.root;
+  ASSERT_OK(t.Mkdir("/spool"));
+  constexpr int kStable = 64;
+  constexpr int kChurn = 32;
+  std::map<std::string, int> index;  // name -> churn slot, or -1 if stable
+  for (int i = 0; i < kStable; ++i) {
+    const std::string n = "stable" + std::to_string(i);
+    index[n] = -1;
+    auto fd = t.Open("/spool/" + n, kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_OK(t.Close(*fd));
+  }
+  // Per churn name: a counter that is odd while the name is being
+  // changed, and whether it exists when the counter is even.
+  std::vector<std::atomic<uint32_t>> seq(kChurn);
+  std::vector<std::atomic<bool>> exists(kChurn);
+  for (int i = 0; i < kChurn; ++i) {
+    index["churn" + std::to_string(i)] = i;
+    seq[i].store(0);
+    exists[i].store(false);
+  }
+  const uint64_t cached0 = world_.kernel->stats().readdir_cached.value();
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> listings{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // create/unlink in the listed directory
+    TaskPtr task = world_.root->Fork();
+    while (readers_started.load() < 2) {
+      std::this_thread::yield();
+    }
+    Rng rng(7);
+    for (int i = 0; i < 1500; ++i) {
+      const int c = static_cast<int>(rng.Below(kChurn));
+      const std::string path = "/spool/churn" + std::to_string(c);
+      seq[c].fetch_add(1);
+      if (exists[c].load()) {
+        EXPECT_OK(task->Unlink(path));
+        exists[c].store(false);
+      } else {
+        auto fd = task->Open(path, kOCreat | kOWrite);
+        EXPECT_OK(fd);
+        if (fd.ok()) {
+          EXPECT_OK(task->Close(*fd));
+        }
+        exists[c].store(true);
+      }
+      seq[c].fetch_add(1);
+    }
+    done.store(true);
+  });
+  threads.emplace_back([&] {  // the governor's eviction call
+    while (!done.load()) {
+      {
+        std::unique_lock<std::shared_mutex> tree(world_.kernel->tree_lock());
+        world_.kernel->dcache().Shrink(8);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      TaskPtr task = world_.root->Fork();
+      std::vector<uint32_t> before(kChurn);
+      std::vector<bool> existed(kChurn);
+      readers_started.fetch_add(1);
+      while (!done.load()) {
+        for (int i = 0; i < kChurn; ++i) {
+          before[i] = seq[i].load();
+          existed[i] = exists[i].load();
+        }
+        auto dfd = task->Open("/spool", kORead | kODirectory);
+        ASSERT_OK(dfd);
+        auto batch = task->ReadDirFd(*dfd, 4096);
+        ASSERT_OK(batch);
+        ASSERT_OK(task->Close(*dfd));
+        std::map<std::string, int> seen;
+        for (const DirEntry& e : *batch) {
+          ASSERT_NE(index.find(e.name), index.end())
+              << "listed unknown name " << e.name;
+          EXPECT_EQ(++seen[e.name], 1) << e.name << " listed twice";
+        }
+        for (int i = 0; i < kStable; ++i) {
+          EXPECT_EQ(seen.count("stable" + std::to_string(i)), 1u)
+              << "stable" << i << " missing";
+        }
+        for (int i = 0; i < kChurn; ++i) {
+          const uint32_t after = seq[i].load();
+          if (after != before[i] || (after & 1) != 0) {
+            continue;  // changed during the call: either answer is right
+          }
+          EXPECT_EQ(seen.count("churn" + std::to_string(i)) == 1,
+                    existed[i])
+              << "churn" << i << (existed[i] ? " missing" : " resurrected");
+        }
+        listings.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_GT(listings.load(), 0u);
+  if (GetParam()) {
+    EXPECT_GT(world_.kernel->stats().readdir_cached.value(), cached0);
+  }
+  // Quiescent: the listing is exact.
+  std::set<std::string> expect;
+  for (const auto& [name, c] : index) {
+    if (c < 0 || exists[c].load()) {
+      expect.insert(name);
+    }
+  }
+  auto dfd = t.Open("/spool", kORead | kODirectory);
+  ASSERT_OK(dfd);
+  auto batch = t.ReadDirFd(*dfd, 4096);
+  ASSERT_OK(batch);
+  ASSERT_OK(t.Close(*dfd));
+  std::set<std::string> got;
+  for (const DirEntry& e : *batch) {
+    got.insert(e.name);
+  }
+  EXPECT_EQ(got, expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKernels, ConcurrencyTest, ::testing::Bool(),

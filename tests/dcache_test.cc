@@ -2,7 +2,13 @@
 // (lockref protocol), LRU eviction, invalidation, d_move.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "src/core/dlht.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -238,6 +244,147 @@ TEST_F(DcacheTest, ChainHistogramCountsBuckets) {
   }
   EXPECT_EQ(total, dc().bucket_count());
   EXPECT_GT(hist[0], 0u);  // most buckets empty
+}
+
+// ---------------------------------------------------------------------------
+// ChildArray (DESIGN.md §16): slot-indexed child arrays with swap-remove.
+
+// Every member's slot names its own index and side, its side matches its
+// flags, and the arrays hold exactly `members`.
+void ExpectSlotsConsistent(const ChildArray& kids,
+                           const std::set<Dentry*>& members) {
+  std::set<Dentry*> seen;
+  for (bool tail : {false, true}) {
+    const std::vector<Dentry*>& side = tail ? kids.tail() : kids.listed();
+    for (size_t i = 0; i < side.size(); ++i) {
+      Dentry* d = side[i];
+      EXPECT_EQ(d->child_slot,
+                static_cast<uint32_t>(i) | (tail ? ChildArray::kTailBit : 0u))
+          << d->name();
+      EXPECT_EQ(ChildArray::OnTail(d->flags()), tail) << d->name();
+      EXPECT_TRUE(kids.Holds(d)) << d->name();
+      EXPECT_TRUE(seen.insert(d).second) << d->name() << " held twice";
+    }
+  }
+  EXPECT_EQ(seen, members);
+  EXPECT_EQ(kids.size(), members.size());
+}
+
+class ChildArrayTest : public ::testing::Test {
+ protected:
+  // Standalone dentries (no superblock, parent or inode): the array only
+  // reads their flags and writes their slots.
+  Dentry* Make(const std::string& name, uint32_t flags) {
+    pool_.push_back(
+        std::make_unique<Dentry>(nullptr, nullptr, name, nullptr, flags));
+    return pool_.back().get();
+  }
+
+  std::vector<std::unique_ptr<Dentry>> pool_;
+};
+
+TEST_F(ChildArrayTest, RandomAddRemoveKeepsEverySlotPointingHome) {
+  const uint32_t kinds[] = {0, kDentStub, kDentNegative,
+                            kDentNegative | kDentEnotdir, kDentAlias};
+  std::vector<Dentry*> all;
+  for (int i = 0; i < 64; ++i) {
+    all.push_back(Make("c" + std::to_string(i), kinds[i % 5]));
+  }
+  ChildArray kids;
+  std::set<Dentry*> members;
+  Rng rng(14);
+  for (int step = 0; step < 4000; ++step) {
+    Dentry* d = all[rng.Below(all.size())];
+    if (members.count(d) != 0) {
+      kids.Remove(d);
+      members.erase(d);
+      EXPECT_EQ(d->child_slot, ChildArray::kNoSlot);
+      EXPECT_FALSE(kids.Holds(d));
+    } else {
+      kids.Add(d);
+      members.insert(d);
+    }
+    ExpectSlotsConsistent(kids, members);
+    if (HasFailure()) {
+      FAIL() << "step " << step;
+    }
+  }
+  for (Dentry* d : all) {
+    if (members.count(d) != 0) {
+      kids.Remove(d);
+    }
+  }
+  EXPECT_EQ(kids.size(), 0u);
+}
+
+TEST_F(ChildArrayTest, RemovingTheLastOrOnlyElement) {
+  ChildArray kids;
+  Dentry* a = Make("a", 0);
+  Dentry* b = Make("b", 0);
+  Dentry* neg = Make("neg", kDentNegative);
+  kids.Add(a);
+  kids.Add(b);
+  kids.Add(neg);
+  kids.Remove(b);  // the last listed element: nothing moves
+  ExpectSlotsConsistent(kids, {a, neg});
+  EXPECT_EQ(a->child_slot, 0u);
+  kids.Remove(neg);  // the only tail element
+  ExpectSlotsConsistent(kids, {a});
+  kids.Remove(a);
+  ExpectSlotsConsistent(kids, {});
+  kids.Add(b);  // an emptied array takes new children from slot 0
+  EXPECT_EQ(b->child_slot, 0u);
+  kids.Remove(b);
+}
+
+TEST_F(ChildArrayTest, RemoveGivesBackCapacityAMassRemovalLeft) {
+  ChildArray kids;
+  std::vector<Dentry*> negs;
+  for (int i = 0; i < 1000; ++i) {
+    negs.push_back(Make("n" + std::to_string(i), kDentNegative));
+    kids.Add(negs.back());
+  }
+  Dentry* keep = Make("keep", 0);
+  kids.Add(keep);
+  const size_t peak = kids.tail().capacity();
+  ASSERT_GE(peak, 1000u);
+  std::set<Dentry*> members(negs.begin(), negs.end());
+  members.insert(keep);
+  for (size_t i = 0; i + 3 < negs.size(); ++i) {
+    kids.Remove(negs[i]);
+    members.erase(negs[i]);
+    // A side never holds more than 4x its size past the floor.
+    EXPECT_LE(kids.tail().capacity(),
+              std::max(ChildArray::kMinShrinkCapacity,
+                       4 * kids.tail().size() + 4));
+  }
+  EXPECT_LT(kids.tail().capacity(), peak / 8);
+  ExpectSlotsConsistent(kids, members);
+  for (Dentry* d : members) {
+    kids.Remove(d);
+  }
+  EXPECT_LE(kids.tail().capacity(), ChildArray::kMinShrinkCapacity);
+}
+
+TEST_F(DcacheTest, ChildArrayIsAllocatedWithTheFirstChild) {
+  ASSERT_OK(world_.root->Mkdir("/lazy"));
+  Dentry* dir = dc().LookupRef(Root(), "lazy");
+  ASSERT_NE(dir, nullptr);
+  EXPECT_EQ(dir->children(), nullptr);
+  Dentry* leaf = MakeFile("/lazy/f");
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_EQ(leaf->children(), nullptr);  // leaves never get an array
+  {
+    SpinGuard guard(dir->lock);
+    ASSERT_NE(dir->children(), nullptr);
+    EXPECT_EQ(dir->children()->listed().size(), 1u);
+    EXPECT_TRUE(dir->children()->Holds(leaf));
+  }
+  // A positive records its inode's number and type at creation.
+  EXPECT_EQ(leaf->d_ino, leaf->inode()->ino());
+  EXPECT_EQ(leaf->d_type, FileType::kRegular);
+  dc().Dput(leaf);
+  dc().Dput(dir);
 }
 
 }  // namespace

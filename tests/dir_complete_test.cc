@@ -1,7 +1,7 @@
 // Directory-completeness caching (§5.1): when DIR_COMPLETE is set, when it
 // must NOT be set, miss elision, readdir-from-cache coherence, stub
-// dentry materialization, and the cached readdir over the positive head of
-// each child list.
+// dentry materialization, and the cached readdir over the listed side of
+// each child array.
 #include <map>
 #include <set>
 #include <vector>
@@ -69,13 +69,16 @@ class DirCompleteTest : public ::testing::Test {
     }
   }
 
-  // The dentry's children in list order, as (name, is negative or alias).
+  // The dentry's children, listed side then tail, as (name, is negative
+  // or alias).
   std::vector<std::pair<std::string, bool>> ChildOrder(Dentry* dir) {
     std::vector<std::pair<std::string, bool>> order;
     SpinGuard guard(dir->lock);
-    for (Dentry* child : dir->children) {
-      order.emplace_back(child->name(),
-                         child->TestFlags(kDentNegative | kDentAlias));
+    if (const ChildArray* kids = dir->children()) {
+      kids->ForEach([&](Dentry* child) {
+        order.emplace_back(child->name(),
+                           child->TestFlags(kDentNegative | kDentAlias));
+      });
     }
     return order;
   }
@@ -304,6 +307,56 @@ TEST_F(DirCompleteTest, SeekOnReturnedAndOverflowedStreams) {
   }
 }
 
+// A seek into a cache-served stream lists the cached children again even
+// after an eviction cleared DIR_COMPLETE: the offset indexes the cached
+// listing, so the children still cached come back, not an empty EOF.
+TEST_F(DirCompleteTest, SeekAfterEvictionListsTheRemainingChildren) {
+  ASSERT_OK(T().Mkdir("/ev"));
+  std::set<std::string> all;
+  for (int i = 0; i < 20; ++i) {
+    Touch("/ev/f" + std::to_string(i));
+    all.insert("f" + std::to_string(i));
+  }
+  Dentry* ev = DirDentry("ev");
+  ASSERT_TRUE(ev->TestFlags(kDentDirComplete));
+  auto dfd = T().Open("/ev", kORead | kODirectory);
+  ASSERT_OK(dfd);
+  const uint64_t cached = world_.kernel->stats().readdir_cached.value();
+  const std::vector<std::string> whole = Drain(*dfd, 4096);
+  ASSERT_EQ(std::set<std::string>(whole.begin(), whole.end()), all);
+  ASSERT_GT(world_.kernel->stats().readdir_cached.value(), cached);
+
+  // Evict one dentry at a time until a child of /ev goes (the open fd
+  // pins /ev itself).
+  while (ev->TestFlags(kDentDirComplete)) {
+    std::unique_lock<std::shared_mutex> tree(world_.kernel->tree_lock());
+    ASSERT_EQ(dc().Shrink(1), 1u);
+  }
+  size_t remaining = 0;
+  {
+    SpinGuard guard(ev->lock);
+    ASSERT_NE(ev->children(), nullptr);
+    remaining = ev->children()->listed().size();
+  }
+  ASSERT_GT(remaining, 1u);
+  ASSERT_LT(remaining, all.size());
+
+  ASSERT_OK(T().Lseek(*dfd, 1));
+  const std::vector<std::string> rest = Drain(*dfd, 7);
+  EXPECT_EQ(rest.size(), remaining - 1);
+  for (const std::string& n : rest) {
+    EXPECT_EQ(all.count(n), 1u) << n;
+  }
+  EXPECT_EQ(std::set<std::string>(rest.begin(), rest.end()).size(),
+            rest.size());
+  ASSERT_OK(T().Close(*dfd));
+
+  // A fresh stream no longer trusts the cache and lists every name.
+  std::set<std::string> relisted;
+  ListAll("/ev", 7, &relisted);
+  EXPECT_EQ(relisted, all);
+}
+
 TEST_F(DirCompleteTest, CallerVectorKeepsNoStaleTail) {
   ASSERT_OK(T().Mkdir("/long"));
   ASSERT_OK(T().Mkdir("/short"));
@@ -399,29 +452,41 @@ TEST_F(DirCompleteTest, FlagRenamesAndDeliveriesKeepChildOrder) {
   EXPECT_TRUE(report.clean()) << report.ToText();
 }
 
-TEST_F(DirCompleteTest, AuditFlagsPositiveAfterNegative) {
+TEST_F(DirCompleteTest, AuditFlagsCorruptChildSlot) {
   ASSERT_OK(T().Mkdir("/order"));
-  Touch("/order/live");
+  Touch("/order/a");
+  Touch("/order/b");
   EXPECT_ERR(T().Statx(kAtFdCwd, "/order/gone", 0), Errno::kENOENT);
   Dentry* dir = DirDentry("order");
   ASSERT_TRUE(world_.kernel->Audit().clean());
-  // Move the negative to the head by hand: the audit must notice.
+  Dentry* pos = nullptr;
+  Dentry* neg = nullptr;
   {
     SpinGuard guard(dir->lock);
-    Dentry* neg = dir->children.Back();
+    ASSERT_EQ(dir->children()->listed().size(), 2u);
+    ASSERT_EQ(dir->children()->tail().size(), 1u);
+    pos = dir->children()->listed()[0];
+    neg = dir->children()->tail()[0];
     ASSERT_TRUE(neg->IsNegative());
-    neg->child_node.Unlink();
-    dir->children.PushFront(neg);
   }
+  // Each corruption by hand must be noticed, and restoring the slot must
+  // make the audit clean again.
+  const uint32_t pos_slot = pos->child_slot;
+  const uint32_t neg_slot = neg->child_slot;
+  for (uint32_t bad : {pos_slot ^ 1u, pos_slot | ChildArray::kTailBit,
+                       ChildArray::kNoSlot}) {
+    pos->child_slot = bad;
+    obs::AuditReport report = world_.kernel->Audit();
+    ASSERT_FALSE(report.clean()) << bad;
+    EXPECT_EQ(report.violations[0].check, obs::AuditCheck::kTreeStructure);
+    pos->child_slot = pos_slot;
+    EXPECT_TRUE(world_.kernel->Audit().clean());
+  }
+  neg->child_slot = neg_slot & ~ChildArray::kTailBit;
   obs::AuditReport report = world_.kernel->Audit();
   ASSERT_FALSE(report.clean());
   EXPECT_EQ(report.violations[0].check, obs::AuditCheck::kTreeStructure);
-  {
-    SpinGuard guard(dir->lock);
-    Dentry* neg = dir->children.Front();
-    neg->child_node.Unlink();
-    dir->children.PushBack(neg);
-  }
+  neg->child_slot = neg_slot;
   EXPECT_TRUE(world_.kernel->Audit().clean());
 }
 

@@ -368,9 +368,11 @@ class AncestorClimbTest : public ::testing::Test {
       } else {
         // Aliases are invisible to the primary hash (§4.2).
         SpinGuard guard(d->lock);
-        for (Dentry* c : d->children) {
-          if (c->TestFlags(kDentAlias) && c->name() == comp) {
-            child = c;
+        if (const ChildArray* kids = d->children()) {
+          for (Dentry* c : kids->tail()) {
+            if (c->TestFlags(kDentAlias) && c->name() == comp) {
+              child = c;
+            }
           }
         }
       }
